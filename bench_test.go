@@ -18,6 +18,8 @@ import (
 	"bristleblocks/internal/experiments"
 	"bristleblocks/internal/pads"
 	"bristleblocks/internal/server"
+	"bristleblocks/internal/specgen"
+	"bristleblocks/internal/trace"
 )
 
 func compileSuite(b *testing.B, idx int, opts *core.Options) *core.Chip {
@@ -298,6 +300,35 @@ func BenchmarkRouteSeed(b *testing.B) { benchRoutePass(b, 1, true) }
 // BenchmarkRouteSerial is Pass 3 with A* and the speculative pipeline
 // drained by a single worker.
 func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1, false) }
+
+// BenchmarkRoutePassRejected is Pass 3 at -j 1 over ForPads specs it
+// rejects: the cost of running the whole (moat, strategy) rip-up ladder to
+// exhaustion. pads-ms sums the pass.pads span of each failed compile (the
+// chip is never returned, so Chip.Times is not available).
+func BenchmarkRoutePassRejected(b *testing.B) {
+	var specs []*core.Spec
+	for _, seed := range []int64{18, 851, 2267} {
+		specs = append(specs, specgen.FromSeed(seed, &specgen.Config{ForPads: true}))
+	}
+	opts := &core.Options{Parallelism: 1, SkipExtraReps: true}
+	var padsUS int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		padsUS = 0
+		for _, spec := range specs {
+			tr := trace.New()
+			if _, err := core.CompileCtx(trace.WithTrace(context.Background(), tr), spec, opts); err == nil {
+				b.Fatal("spec compiled; want a Pass 3 rejection")
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Name == "pass.pads" {
+					padsUS += sp.DurUS
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
+}
 
 // BenchmarkRouteParallel is the tentpole arm: A* routing with speculative
 // net fan-out on a GOMAXPROCS-wide pool. Compare pads-ms against

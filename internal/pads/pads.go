@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -110,7 +111,9 @@ type Ring struct {
 // RouteStats counts Pass 3's routing work. The speculative pipeline runs
 // at every Options.Parallelism — a single worker just drains it serially —
 // so every counter is a pure function of the input, and the determinism
-// tests may compare them across pool sizes.
+// tests may compare them across pool sizes. The counters report the
+// serial ladder's work, rip-up attempts replayed from the memo included,
+// not the cells the CPU actually expanded.
 type RouteStats struct {
 	// Nets is the number of routing units committed (one unit = one pad's
 	// net with all its branch targets), including units of failed rip-up
@@ -170,9 +173,8 @@ type Options struct {
 
 // placed pairs a request with its assigned slot.
 type placed struct {
-	req  Request
-	s    slot
-	cell *mask.Cell
+	req Request
+	s   slot
 }
 
 // slot is one evenly spaced pad position.
@@ -333,15 +335,14 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	// are wired to the same pad net afterwards.
 	var padReqs []Request
 	extra := make(map[string][]Request)
-	seen := make(map[string]int)
+	seen := make(map[string]bool)
 	for _, rq := range reqs {
 		if sharedClasses[rq.Class] {
-			if i, ok := seen[rq.Net]; ok {
+			if seen[rq.Net] {
 				extra[rq.Net] = append(extra[rq.Net], rq)
-				_ = i
 				continue
 			}
-			seen[rq.Net] = len(padReqs)
+			seen[rq.Net] = true
 		}
 		padReqs = append(padReqs, rq)
 	}
@@ -392,7 +393,7 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 			return nil, err
 		}
 		padCell.Place(pc.Layout, s.t)
-		placements = append(placements, placed{rq, s, pc.Layout})
+		placements = append(placements, placed{rq, s})
 	}
 
 	// Routing order matters in a single layer: innermost arcs should claim
@@ -408,6 +409,13 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	fails := make(map[int]int)
 	order := baseOrder
 	rng := rand.New(rand.NewSource(int64(strategy)*7919 + 17))
+	// Rip-up memo. A serial attempt starts from the same grid every time
+	// and stops at its first failing unit, so its outcome — error and
+	// stats alike — is a function of order[:pos+1] alone. An order that
+	// starts with a recorded failing prefix replays that failure instead
+	// of re-routing it. Attempt 0 speculates (its counters differ), so it
+	// is neither recorded nor replayed.
+	var memo []failedPrefix
 	for attempt := 0; attempt <= 3*len(placements); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -417,7 +425,19 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 		// speculating whole waves ahead of an early failure is pure waste —
 		// the retries run serially (attempt numbers are deterministic, so
 		// this costs nothing in parallelism-invariance).
-		wires, lastErr = routeAll(ctx, bounds, coreBounds, band, placements, order, extra, opts, cutAngle, hasCut, rs, &rcache, attempt == 0)
+		if attempt == 0 {
+			wires, lastErr = routeAll(ctx, bounds, coreBounds, band, placements, order, extra, opts, cutAngle, hasCut, rs, &rcache, true)
+		} else if f := replayFailure(memo, order); f != nil {
+			rs.merge(f.rs)
+			lastErr = f.err
+		} else {
+			var ars RouteStats
+			wires, lastErr = routeAll(ctx, bounds, coreBounds, band, placements, order, extra, opts, cutAngle, hasCut, &ars, &rcache, false)
+			rs.merge(ars)
+			if re, ok := lastErr.(*routeErr); ok {
+				memo = append(memo, failedPrefix{order[:re.pos+1], lastErr, ars})
+			}
+		}
 		if lastErr == nil {
 			break
 		}
@@ -462,10 +482,11 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	return ring, nil
 }
 
-// routeErr tags a routing failure with the placement that failed.
+// routeErr tags a routing failure with the placement that failed and its
+// position in the routing order.
 type routeErr struct {
-	idx int
-	err error
+	idx, pos int
+	err      error
 }
 
 func (e *routeErr) Error() string { return e.err.Error() }
@@ -783,7 +804,7 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 			}
 			if err != nil {
 				rs.add(master.Stats())
-				return nil, &routeErr{idx: i, err: err}
+				return nil, &routeErr{idx: i, pos: k, err: err}
 			}
 			segments = u.segs
 			wires = append(wires, uw...)
@@ -859,22 +880,32 @@ func routeUnit(u *unitCtx, p placed, extra map[string][]Request, coreBounds geom
 	return wires, nil
 }
 
+// failedPrefix is one memoized rip-up failure: every serial attempt whose
+// order starts with prefix fails at its last unit with err, doing rs's work.
+// prefix aliases that attempt's order, which the rip-up step never mutates
+// (it builds a fresh slice for the next attempt).
+type failedPrefix struct {
+	prefix []int
+	err    error
+	rs     RouteStats
+}
+
+// replayFailure returns the memo entry whose prefix starts order, or nil.
+func replayFailure(memo []failedPrefix, order []int) *failedPrefix {
+	for f := range memo {
+		if p := memo[f].prefix; len(p) <= len(order) && slices.Equal(p, order[:len(p)]) {
+			return &memo[f]
+		}
+	}
+	return nil
+}
+
 func failedIndex(err error, placements []placed) (int, bool) {
 	re, ok := err.(*routeErr)
 	if !ok || re.idx < 0 || re.idx >= len(placements) {
 		return 0, false
 	}
 	return re.idx, true
-}
-
-func moveToFront(order []int, idx int) []int {
-	out := []int{idx}
-	for _, i := range order {
-		if i != idx {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // netSeg is one drawn wire segment (inflated) with its net, for geometric
@@ -959,38 +990,34 @@ func (a arc) covers(ang float64) bool {
 	return ang >= a.start || ang <= a.end
 }
 
-// routingOrder picks the routing order. Strategy 0 sorts by angular arc
-// length ascending (innermost arcs of a laminar family are shortest, so
-// they claim the core-hugging tracks first and wider arcs nest outside);
-// strategy 1 sorts by target angle from a cut angle no arc covers;
-// strategy 2 sorts by Manhattan stub-to-target distance.
+// routingOrder picks the base routing order. Strategies 0 and 1 sort by
+// target angle from a cut angle no arc covers, so the ring becomes a
+// channel routed in river order (the two differ only in the rip-up shuffle
+// seed); strategy 2, and strategies 0 and 1 when every angle is covered,
+// sort by Manhattan stub-to-target distance.
 func routingOrder(placements []placed, center geom.Point, strategy int) ([]int, float64, bool) {
 	n := len(placements)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	arcs := make([]arc, n)
-	arcLen := make([]float64, n)
-	var ends []float64
-	for i, p := range placements {
-		a := clockAngle(p.s.stub, center)
-		b := clockAngle(p.req.At, center)
-		cw := b - a
-		if cw < 0 {
-			cw += 2 * math.Pi
+	if strategy < 2 {
+		arcs := make([]arc, n)
+		var ends []float64
+		for i, p := range placements {
+			a := clockAngle(p.s.stub, center)
+			b := clockAngle(p.req.At, center)
+			cw := b - a
+			if cw < 0 {
+				cw += 2 * math.Pi
+			}
+			if cw <= math.Pi {
+				arcs[i] = arc{a, b}
+			} else {
+				arcs[i] = arc{b, a}
+			}
+			ends = append(ends, a, b)
 		}
-		if cw <= math.Pi {
-			arcs[i] = arc{a, b}
-			arcLen[i] = cw
-		} else {
-			arcs[i] = arc{b, a}
-			arcLen[i] = 2*math.Pi - cw
-		}
-		ends = append(ends, a, b)
-	}
-	switch strategy {
-	case 0, 1:
 		sort.Float64s(ends)
 		cut := -1.0
 		for i := 0; i < len(ends); i++ {
@@ -1028,15 +1055,11 @@ func routingOrder(placements []placed, center geom.Point, strategy int) ([]int, 
 			sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
 			return order, cut, true
 		}
-		fallthrough
-	case 2:
-		sort.SliceStable(order, func(a, b int) bool {
-			pa, pb := placements[order[a]], placements[order[b]]
-			return pa.s.stub.Manhattan(pa.req.At) < pb.s.stub.Manhattan(pb.req.At)
-		})
-	default:
-		sort.SliceStable(order, func(a, b int) bool { return arcLen[order[a]] < arcLen[order[b]] })
 	}
+	sort.SliceStable(order, func(a, b int) bool {
+		pa, pb := placements[order[a]], placements[order[b]]
+		return pa.s.stub.Manhattan(pa.req.At) < pb.s.stub.Manhattan(pb.req.At)
+	})
 	return order, 0, false
 }
 
@@ -1303,8 +1326,8 @@ func makeSlots(core geom.Rect, moat geom.Coord, n int, reqs []Request, even bool
 // inner ring (projecting onto the nearest side).
 func perimPos(inner geom.Rect, p geom.Point) int64 {
 	w, h := int64(inner.W()), int64(inner.H())
-	clampX := int64(min64(max64(int64(p.X-inner.MinX), 0), w))
-	clampY := int64(min64(max64(int64(p.Y-inner.MinY), 0), h))
+	clampX := min(max(int64(p.X-inner.MinX), 0), w)
+	clampY := min(max(int64(p.Y-inner.MinY), 0), h)
 	dW := int64(p.X - inner.MinX)
 	dE := int64(inner.MaxX - p.X)
 	dS := int64(p.Y - inner.MinY)
@@ -1330,20 +1353,6 @@ func perimPos(inner geom.Rect, p geom.Point) int64 {
 	default: // west: bottom to top
 		return 2*w + h + clampY
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // walkPerimeter finds the slot at clockwise distance d from the top-left
@@ -1376,24 +1385,3 @@ func walkPerimeter(inner geom.Rect, d int64) slot {
 
 // SetClaimCorridors toggles corridor pre-claiming (test knob).
 func SetClaimCorridors(on bool) { claimCorridors = on }
-
-func absC(c geom.Coord) geom.Coord {
-	if c < 0 {
-		return -c
-	}
-	return c
-}
-
-func minC(a, b geom.Coord) geom.Coord {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxC(a, b geom.Coord) geom.Coord {
-	if a > b {
-		return a
-	}
-	return b
-}

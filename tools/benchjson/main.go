@@ -25,6 +25,9 @@
 // rather than machines, so parity (not speedup) is the honest reading;
 // the arms exist so a multi-core runner has the trajectory.
 //
+// route_pass_rejected times Pass 3 on specs it rejects, where the whole
+// (moat, strategy) rip-up ladder runs to exhaustion.
+//
 // Usage:
 //
 //	go run ./tools/benchjson                # write BENCH_PR10.json
@@ -435,6 +438,34 @@ func main() {
 	routeSeed := run("route_pass_seed", routePass(1, true))
 	routeSerial := run("route_pass_serial", routePass(1, false))
 	routeJ8 := run("route_pass_parallel_j8", routePass(8, false))
+
+	// Pass 3 at -j 1 over ForPads specs it rejects: the whole rip-up
+	// ladder run to exhaustion. A failed compile returns no chip, so
+	// pads-ms sums each compile's pass.pads span instead of Chip.Times.
+	var rejected []*core.Spec
+	for _, seed := range []int64{18, 851, 2267} {
+		rejected = append(rejected, specgen.FromSeed(seed, &specgen.Config{ForPads: true}))
+	}
+	run("route_pass_rejected", func(b *testing.B) {
+		opts := &core.Options{Parallelism: 1, SkipExtraReps: true}
+		b.ReportAllocs()
+		var padsUS int64
+		for i := 0; i < b.N; i++ {
+			padsUS = 0
+			for _, spec := range rejected {
+				tr := trace.New()
+				if _, err := core.CompileCtx(trace.WithTrace(ctx, tr), spec, opts); err == nil {
+					b.Fatal("spec compiled; want a Pass 3 rejection")
+				}
+				for _, sp := range tr.Spans() {
+					if sp.Name == "pass.pads" {
+						padsUS += sp.DurUS
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
+	})
 
 	// Pass 2 over every example chip, with and without the Espresso-style
 	// minimizer. time/op includes Pass 1 (the decoder needs the core's
