@@ -66,10 +66,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sw := &statusWriter{ResponseWriter: w}
 	w = sw
-	defer func() {
-		s.metrics.observeRequest(time.Since(start))
-		s.observeSLO(sw, start)
-	}()
+	defer s.observeRequest(sw, start)
 
 	reqID := obs.NewRequestID()
 	w.Header().Set("X-Request-Id", reqID)

@@ -218,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
 	}
-	s.metrics = newMetrics(s)
+	s.metrics = newMetrics()
 	if cfg.Coordinator {
 		coord, err := newCoordinator(s)
 		if err != nil {
@@ -278,43 +278,26 @@ func (s *Server) worker() {
 			tr = trace.New()
 			ctx = trace.WithTrace(ctx, tr)
 		}
+		var out jobResult
+		var chip *core.Chip
 		if j.verify {
 			// Verify jobs need the live chip (its compiled simulator and
 			// element models), which cached results don't carry, so they
 			// compile fresh every time. core.Stats is deterministic at every
 			// Parallelism, so the graded verdict is byte-identical whether
 			// this or any other pool size served the request.
-			chip, err := core.CompileCtx(ctx, j.spec, j.opts)
-			s.metrics.inFlight.Add(-1)
-			out := jobResult{chip: chip, err: err}
-			if err == nil {
-				s.metrics.compiles.Add(1)
-				s.metrics.observeSpans(tr.Spans())
-				s.metrics.observeStats(chip.Stats)
-				s.metrics.observeAllocs(chip.Allocs)
-				out.allocs = &chip.Allocs
-				s.verify(ctx, chip)
-			}
-			j.done <- out
-			continue
+			chip, out.err = core.CompileCtx(ctx, j.spec, j.opts)
+			out.chip = chip
+		} else {
+			out.res, chip, out.cached, out.err = s.cache.CompileChip(ctx, j.spec, j.opts)
 		}
-		res, chip, cached, err := s.cache.CompileChip(ctx, j.spec, j.opts)
 		s.metrics.inFlight.Add(-1)
-		out := jobResult{res: res, cached: cached, err: err}
-		if err == nil {
-			if cached {
-				s.metrics.cacheServed.Add(1)
-			} else {
-				s.metrics.compiles.Add(1)
-				s.metrics.observePasses(res.TimesUS)
-				s.metrics.observeSpans(tr.Spans())
-				s.metrics.observeStats(res.Stats)
-				if chip != nil {
-					s.metrics.observeAllocs(chip.Allocs)
-					out.allocs = &chip.Allocs
-				}
-				s.verify(ctx, chip)
-			}
+		if out.cached {
+			s.metrics.cacheServed.Add(1)
+		} else if out.err == nil {
+			s.metrics.observeCompile(chip, tr.Spans())
+			out.allocs = &chip.Allocs
+			s.verify(ctx, chip)
 		}
 		j.done <- out
 	}
@@ -334,7 +317,8 @@ func (s *Server) verify(ctx context.Context, chip *core.Chip) {
 	}
 	t0 := time.Now()
 	vs := invariant.LogicSim(ctx, chip, nil)
-	s.metrics.observeVerify(time.Since(t0), len(vs))
+	s.metrics.verifyHist.observe(time.Since(t0))
+	s.metrics.verifyViolations.Add(int64(len(vs)))
 	if len(vs) > 0 {
 		s.logger.Error("logic-vs-simulation invariant violated on cold compile",
 			"chip", chip.Spec.Name, "violations", len(vs), "first", vs[0])
@@ -474,13 +458,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	sw := &statusWriter{ResponseWriter: w}
 	w = sw
-	// Every terminal outcome below — bad spec, shed, timeout, error,
-	// served — reports into the request latency histogram and the SLO
-	// error budget.
-	defer func() {
-		s.metrics.observeRequest(time.Since(start))
-		s.observeSLO(sw, start)
-	}()
+	defer s.observeRequest(sw, start)
 
 	reqID := obs.NewRequestID()
 	w.Header().Set("X-Request-Id", reqID)
@@ -707,7 +685,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, s.metrics.vars.String())
+	if err := s.metrics.writeVars(w, s); err != nil {
+		s.logger.Warn("debug vars render failed", "err", err)
+	}
 }
 
 // handleMetrics serves the Prometheus text exposition.
@@ -841,14 +821,20 @@ func sloOutcome(status int) slo.Outcome {
 	}
 }
 
-// observeSLO lands one compile-path outcome on the burn-rate tracker
-// (called from the handlers' deferred accounting).
-func (s *Server) observeSLO(sw *statusWriter, start time.Time) {
+// observeRequest is the compile-path handlers' deferred accounting: the
+// end-to-end latency lands in the request histogram and the outcome on the
+// SLO burn-rate tracker. Every terminal path reports — served, rejected,
+// shed, and failed alike — so the histogram shows the latency clients saw,
+// not just the flattering subset (a 503 answered in 50µs and a hit
+// answered in 2ms are both facts about the service).
+func (s *Server) observeRequest(sw *statusWriter, start time.Time) {
+	d := time.Since(start)
+	s.metrics.request.observe(d)
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	s.slo.Record(sloOutcome(status), time.Since(start))
+	s.slo.Record(sloOutcome(status), d)
 }
 
 // flightAllocs converts the compiler's attribution for the recorder

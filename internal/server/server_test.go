@@ -441,21 +441,24 @@ func TestCompileTraceParam(t *testing.T) {
 // TestGenElementHistogram: cold compiles feed the per-element generation
 // histogram exported on /debug/vars.
 func TestGenElementHistogram(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	if resp, _ := postSpec(t, ts.URL+"/compile", specText(2)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(s.metrics.vars.String()), &vars); err != nil {
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var hist struct {
-		Count int `json:"count"`
+	defer resp.Body.Close()
+	var vars struct {
+		GenElement struct {
+			Count int `json:"count"`
+		} `json:"latency_ms_gen_element"`
 	}
-	if err := json.Unmarshal(vars["latency_ms_gen_element"], &hist); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
 	}
-	if hist.Count == 0 {
+	if vars.GenElement.Count == 0 {
 		t.Fatal("latency_ms_gen_element recorded no element generations")
 	}
 }

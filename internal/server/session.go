@@ -255,10 +255,7 @@ func (s *Server) handleSessionCompile(w http.ResponseWriter, r *http.Request, se
 	s.metrics.requests.Add(1)
 	sw := &statusWriter{ResponseWriter: w}
 	w = sw
-	defer func() {
-		s.metrics.observeRequest(time.Since(start))
-		s.observeSLO(sw, start)
-	}()
+	defer s.observeRequest(sw, start)
 
 	reqID := obs.NewRequestID()
 	w.Header().Set("X-Request-Id", reqID)

@@ -13,6 +13,7 @@ import (
 
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/desc"
+	"bristleblocks/internal/obs/prom"
 	"bristleblocks/internal/scenario"
 )
 
@@ -358,6 +359,46 @@ func TestVerifyMetricsOnMetricsPage(t *testing.T) {
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("metrics page missing %q", want)
+		}
+	}
+}
+
+// TestVerifyCompileFeedsPassFamilies: a /verify compile is a counted cold
+// compile, so it must land in the per-pass families alongside
+// bbd_compiles_total rather than only in the compile count.
+func TestVerifyCompileFeedsPassFamilies(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if resp, _ := postVerify(t, ts.URL+"/verify", VerifyRequest{Spec: verifyChipText, Vectors: verifyVectors}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("verify failed: %d", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, err := prom.Parse(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiles, _ := page.Get("bbd_compiles_total")
+	if compiles != 1 {
+		t.Fatalf("bbd_compiles_total = %v, want 1", compiles)
+	}
+	for _, pass := range []string{"core", "control", "pads"} {
+		if n, _ := page.Get("bbd_pass_" + pass + "_latency_ms_count"); n != compiles {
+			t.Errorf("bbd_pass_%s_latency_ms_count = %v, want %v", pass, n, compiles)
+		}
+		found := false
+		for _, s := range page.Samples {
+			if s.Name == "bbd_pass_seconds_total" && s.Labels["pass"] == pass {
+				found = true
+				if s.Value <= 0 {
+					t.Errorf("bbd_pass_seconds_total{pass=%q} = %v after a verify compile", pass, s.Value)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("bbd_pass_seconds_total{pass=%q} missing", pass)
 		}
 	}
 }
