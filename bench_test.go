@@ -5,15 +5,19 @@
 package bristleblocks_test
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bristleblocks"
 	"bristleblocks/internal/baseline"
 	"bristleblocks/internal/cache"
+	"bristleblocks/internal/cif"
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/experiments"
 	"bristleblocks/internal/pads"
@@ -364,6 +368,53 @@ func BenchmarkCompileCachedHit(b *testing.B) {
 			b.Fatal("cache miss on the warm path")
 		}
 	}
+}
+
+// BenchmarkRender times the render layer on its own: the CIF and sticks
+// writers that cache.Render runs on every cold or edit-session compile,
+// over the compiled example chips (one op renders all of them).
+func BenchmarkRender(b *testing.B) {
+	paths, err := filepath.Glob(filepath.Join("examples", "chips", "*.bb"))
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no example specs found: %v", err)
+	}
+	var chips []*core.Chip
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, err := bristleblocks.ParseSpec(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		chip, err := core.Compile(spec, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chips = append(chips, chip)
+	}
+	b.Run("cif", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, chip := range chips {
+				var buf bytes.Buffer
+				if err := cif.Write(&buf, chip.Mask, cif.DefaultLambdaCentimicrons); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("sticks", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, chip := range chips {
+				if chip.Sticks.Render(16) == "" {
+					b.Fatal("empty sticks")
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkServerThroughput drives an in-process compile daemon with
