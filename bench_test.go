@@ -5,7 +5,6 @@
 package bristleblocks_test
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -398,8 +397,7 @@ func BenchmarkRender(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, chip := range chips {
-				var buf bytes.Buffer
-				if err := cif.Write(&buf, chip.Mask, cif.DefaultLambdaCentimicrons); err != nil {
+				if _, err := cif.Append(nil, chip.Mask, cif.DefaultLambdaCentimicrons); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"bytes"
-
 	"bristleblocks/internal/cif"
 	"bristleblocks/internal/core"
 )
@@ -18,8 +16,8 @@ func Render(chip *core.Chip) (*Result, error) {
 	if lambda <= 0 {
 		lambda = cif.DefaultLambdaCentimicrons
 	}
-	var buf bytes.Buffer
-	if err := cif.Write(&buf, chip.Mask, lambda); err != nil {
+	text, err := cif.Append(nil, chip.Mask, lambda)
+	if err != nil {
 		return nil, err
 	}
 	sticks := ""
@@ -36,7 +34,7 @@ func Render(chip *core.Chip) (*Result, error) {
 			Pads:    chip.Times.Pads.Microseconds(),
 			Total:   chip.Times.Total.Microseconds(),
 		},
-		CIF:     buf.Bytes(),
+		CIF:     text,
 		Text:    chip.Text,
 		Block:   chip.Block,
 		Logical: chip.Logical,

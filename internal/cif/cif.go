@@ -6,11 +6,12 @@
 package cif
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"bristleblocks/internal/geom"
 	"bristleblocks/internal/layer"
@@ -23,8 +24,9 @@ const DefaultLambdaCentimicrons = 250
 
 // orientOps maps each orientation to the CIF transform op string that
 // reproduces it. CIF "M X" negates x (our geom.MY); "M Y" negates y (our
-// geom.MX); "R a b" points the symbol's +x axis along (a,b).
-var orientOps = map[geom.Orient]string{
+// geom.MX); "R a b" points the symbol's +x axis along (a,b). An orientation
+// outside the table writes no op.
+var orientOps = [...]string{
 	geom.R0:   "",
 	geom.R90:  " R 0 1",
 	geom.R180: " R -1 0",
@@ -39,11 +41,21 @@ var orientOps = map[geom.Orient]string{
 // written in quarter-lambda quanta with a DS scale factor converting them to
 // centimicrons using the given physical lambda.
 func Write(w io.Writer, top *mask.Cell, lambdaCentimicrons int) error {
-	if lambdaCentimicrons <= 0 {
-		return fmt.Errorf("cif: non-positive lambda %d", lambdaCentimicrons)
+	buf, err := Append(nil, top, lambdaCentimicrons)
+	if err != nil {
+		return err
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "(Bristle Blocks CIF output; lambda = %d centimicrons);\n", lambdaCentimicrons)
+	_, err = w.Write(buf)
+	return err
+}
+
+// Append appends the CIF 2.0 text Write would emit for top to dst and
+// returns the extended buffer. On error dst is returned unchanged.
+func Append(dst []byte, top *mask.Cell, lambdaCentimicrons int) ([]byte, error) {
+	if lambdaCentimicrons <= 0 {
+		return dst, fmt.Errorf("cif: non-positive lambda %d", lambdaCentimicrons)
+	}
+	dst = fmt.Appendf(dst, "(Bristle Blocks CIF output; lambda = %d centimicrons);\n", lambdaCentimicrons)
 
 	// Scale a/b: quanta -> centimicrons. Reduce the fraction.
 	a, b := lambdaCentimicrons, int(geom.Lambda)
@@ -52,88 +64,124 @@ func Write(w io.Writer, top *mask.Cell, lambdaCentimicrons int) error {
 
 	cells := top.CollectCells()
 	num := make(map[*mask.Cell]int, len(cells))
+	// Reserve about the output's size up front (a box, label or call
+	// writes ~24 bytes, a coordinate pair ~10) so dst grows at most once.
+	size := 0
 	for i, c := range cells {
 		num[c] = i + 1
+		size += 32 + 24*(len(c.Boxes)+len(c.Labels)+len(c.Insts))
+		for _, w := range c.Wires {
+			size += 10 * (len(w.Path) + 1)
+		}
+		for _, p := range c.Polys {
+			size += 10 * len(p.Pts)
+		}
 	}
-	for _, c := range cells {
-		fmt.Fprintf(bw, "DS %d %d %d;\n", num[c], a, b)
-		fmt.Fprintf(bw, "9 %s;\n", sanitizeName(c.Name))
-		writeCellBody(bw, c, num)
-		fmt.Fprintf(bw, "DF;\n")
+	dst = slices.Grow(dst, size)
+	for i, c := range cells {
+		dst = appendCmd(dst, "DS", geom.Coord(i+1), geom.Coord(a), geom.Coord(b))
+		dst = append(dst, "9 "...)
+		dst = appendName(dst, c.Name)
+		dst = append(dst, ";\n"...)
+		dst = appendCellBody(dst, c, num)
+		dst = append(dst, "DF;\n"...)
 	}
-	fmt.Fprintf(bw, "C %d;\n", num[top])
-	fmt.Fprintf(bw, "E\n")
-	return bw.Flush()
+	dst = appendCmd(dst, "C", geom.Coord(num[top]))
+	return append(dst, "E\n"...), nil
 }
 
-func writeCellBody(bw *bufio.Writer, c *mask.Cell, num map[*mask.Cell]int) {
+func appendCellBody(dst []byte, c *mask.Cell, num map[*mask.Cell]int) []byte {
 	cur := layer.NumLayers // sentinel: no layer selected yet
 	setLayer := func(l layer.Layer) {
 		if l != cur {
-			fmt.Fprintf(bw, "L %s;\n", l.CIF())
+			dst = append(dst, "L "...)
+			dst = append(dst, l.CIF()...)
+			dst = append(dst, ";\n"...)
 			cur = l
 		}
 	}
 	for _, b := range c.Boxes {
 		setLayer(b.Layer)
 		r := b.R
-		// CIF boxes are width height centerX centerY; to keep odd extents
-		// exact we double all coordinates in the box command... but CIF has
-		// no such convention, so instead we require even centers: quanta
-		// resolution (4/lambda) makes every half-lambda center integral,
-		// and the library only uses whole-quantum geometry. Odd-sized boxes
-		// are emitted as polygons to stay exact.
-		w, h := r.W(), r.H()
+		// CIF boxes are width height centerX centerY. Quanta resolution
+		// (4/lambda) makes every half-lambda center integral, but a box
+		// with an odd extent has no integral center, so it is emitted as a
+		// polygon to stay exact.
 		cx2, cy2 := r.MinX+r.MaxX, r.MinY+r.MaxY
 		if cx2%2 == 0 && cy2%2 == 0 {
-			fmt.Fprintf(bw, "B %d %d %d %d;\n", w, h, cx2/2, cy2/2)
+			dst = appendCmd(dst, "B", r.W(), r.H(), cx2/2, cy2/2)
 		} else {
-			fmt.Fprintf(bw, "P %d %d %d %d %d %d %d %d;\n",
-				r.MinX, r.MinY, r.MaxX, r.MinY, r.MaxX, r.MaxY, r.MinX, r.MaxY)
+			dst = appendCmd(dst, "P", r.MinX, r.MinY, r.MaxX, r.MinY, r.MaxX, r.MaxY, r.MinX, r.MaxY)
 		}
 	}
 	for _, wr := range c.Wires {
 		setLayer(wr.Layer)
-		fmt.Fprintf(bw, "W %d", wr.Width)
-		for _, p := range wr.Path {
-			fmt.Fprintf(bw, " %d %d", p.X, p.Y)
-		}
-		fmt.Fprintf(bw, ";\n")
+		dst = append(dst, "W "...)
+		dst = strconv.AppendInt(dst, int64(wr.Width), 10)
+		dst = appendPoints(dst, wr.Path)
 	}
 	for _, pg := range c.Polys {
 		setLayer(pg.Layer)
-		fmt.Fprintf(bw, "P")
-		for _, p := range pg.Pts {
-			fmt.Fprintf(bw, " %d %d", p.X, p.Y)
-		}
-		fmt.Fprintf(bw, ";\n")
+		dst = append(dst, 'P')
+		dst = appendPoints(dst, pg.Pts)
 	}
 	for _, lb := range c.Labels {
-		fmt.Fprintf(bw, "94 %s %d %d %s;\n", sanitizeName(lb.Text), lb.At.X, lb.At.Y, lb.Layer.CIF())
+		dst = append(dst, "94 "...)
+		dst = appendName(dst, lb.Text)
+		dst = appendCoord(dst, lb.At.X)
+		dst = appendCoord(dst, lb.At.Y)
+		dst = append(dst, ' ')
+		dst = append(dst, lb.Layer.CIF()...)
+		dst = append(dst, ";\n"...)
 	}
 	for _, in := range c.Insts {
-		ops, ok := orientOps[in.T.Orient]
-		if !ok {
-			ops = ""
+		dst = append(dst, "C "...)
+		dst = strconv.AppendInt(dst, int64(num[in.Cell]), 10)
+		if int(in.T.Orient) < len(orientOps) {
+			dst = append(dst, orientOps[in.T.Orient]...)
 		}
-		fmt.Fprintf(bw, "C %d%s T %d %d;\n", num[in.Cell], ops, in.T.Offset.X, in.T.Offset.Y)
+		dst = appendCmd(dst, " T", in.T.Offset.X, in.T.Offset.Y)
 	}
+	return dst
 }
 
-func sanitizeName(s string) string {
-	out := make([]rune, 0, len(s))
+// appendCmd appends "op v1 v2 ...;\n".
+func appendCmd(dst []byte, op string, vs ...geom.Coord) []byte {
+	dst = append(dst, op...)
+	for _, v := range vs {
+		dst = appendCoord(dst, v)
+	}
+	return append(dst, ";\n"...)
+}
+
+// appendPoints appends " x y" per point, then ";\n".
+func appendPoints(dst []byte, pts []geom.Point) []byte {
+	for _, p := range pts {
+		dst = appendCoord(dst, p.X)
+		dst = appendCoord(dst, p.Y)
+	}
+	return append(dst, ";\n"...)
+}
+
+// appendCoord appends a space and v in decimal.
+func appendCoord(dst []byte, v geom.Coord) []byte {
+	return strconv.AppendInt(append(dst, ' '), int64(v), 10)
+}
+
+// appendName appends s with spaces and semicolons (CIF separators) turned
+// into underscores, or "unnamed" for an empty s. Invalid UTF-8 bytes become
+// U+FFFD, as ranging over the string decodes them.
+func appendName(dst []byte, s string) []byte {
+	if s == "" {
+		return append(dst, "unnamed"...)
+	}
 	for _, r := range s {
-		switch {
-		case r == ' ' || r == ';':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
+		if r == ' ' || r == ';' {
+			r = '_'
 		}
+		dst = utf8.AppendRune(dst, r)
 	}
-	if len(out) == 0 {
-		return "unnamed"
-	}
-	return string(out)
+	return dst
 }
 
 func gcd(a, b int) int {

@@ -128,3 +128,18 @@ func TestWriteBadLambdaError(t *testing.T) {
 		}
 	}
 }
+
+func TestAppendMatchesWrite(t *testing.T) {
+	prefix := []byte("keep;")
+	got, err := Append(prefix, edgeCell(t), DefaultLambdaCentimicrons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "keep;" + edgeCIF; string(got) != want {
+		t.Errorf("Append differs from Write\n got:\n%s\nwant:\n%s", got, want)
+	}
+	got, err = Append(prefix, mask.NewCell("x"), 0)
+	if err == nil || string(got) != "keep;" {
+		t.Errorf("bad lambda: Append = %q, %v; want the prefix and an error", got, err)
+	}
+}

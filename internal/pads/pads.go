@@ -31,14 +31,6 @@ import (
 	"bristleblocks/internal/trace"
 )
 
-// debugRoute enables routing diagnostics in tests.
-var debugRoute = false
-
-var debugDump = false
-
-// claimCorridors toggles corridor pre-claiming (experiment knob).
-var claimCorridors = true
-
 // seedMode forces the seed configuration — Lee wavefront search and the
 // pure serial route loop with no speculation — so benchmarks can measure
 // the A* + fan-out rework against the behavior it replaced.
@@ -54,9 +46,6 @@ const routeWave = 16
 
 // SetSeedMode toggles the seed-baseline configuration (benchmark knob).
 func SetSeedMode(on bool) { seedMode = on }
-
-// DebugRoute toggles routing diagnostics (test helper).
-func DebugRoute(on bool) { debugRoute = on }
 
 // Request is one pad-needing connection point, in chip coordinates.
 type Request struct {
@@ -256,10 +245,6 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 		wg     sync.WaitGroup
 	)
 	runCombo := func(j int) *comboOut {
-		if debugRoute {
-			fmt.Printf("== moat %d strategy %d\n", combos[j].moat, combos[j].strategy)
-			debugDump = true
-		}
 		out := &comboOut{}
 		out.ring, out.err = buildAttemptStrategy(jctx[j], coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs)
 		outs[j] = out
@@ -441,9 +426,6 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 		if lastErr == nil {
 			break
 		}
-		if debugRoute {
-			fmt.Printf("ATTEMPT %d failed: %v\n", attempt, lastErr)
-		}
 		if fi, ok := failedIndex(lastErr, placements); ok {
 			// Rip-up-and-reroute: wires that have failed float to the
 			// front (most-failed first); the rest are reshuffled each
@@ -602,15 +584,13 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 	// Pre-claim every connection point's entry corridor (through the band
 	// plus one routing cell) so no trunk can hug the band across another
 	// net's approach.
-	if claimCorridors {
-		for _, p := range placements {
-			for _, tgt := range append([]Request{p.req}, extra[p.req.Net]...) {
-				dir := outwardFor(tgt, coreBounds)
-				depth := band + geom.L(30)
-				cor := geom.R(tgt.At.X, tgt.At.Y,
-					tgt.At.X+dir.X*depth, tgt.At.Y+dir.Y*depth).Inset(-geom.L(4))
-				router.Claim(cor, p.req.Net)
-			}
+	for _, p := range placements {
+		for _, tgt := range append([]Request{p.req}, extra[p.req.Net]...) {
+			dir := outwardFor(tgt, coreBounds)
+			depth := band + geom.L(30)
+			cor := geom.R(tgt.At.X, tgt.At.Y,
+				tgt.At.X+dir.X*depth, tgt.At.Y+dir.Y*depth).Inset(-geom.L(4))
+			router.Claim(cor, p.req.Net)
 		}
 	}
 
@@ -933,29 +913,16 @@ func routeToTarget(u *unitCtx, net string, from geom.Point, tgt Request, core ge
 	for d := band + geom.L(6); d <= band+maxD; d += geom.L(6) {
 		ap := geom.Pt(to.X+dir.X*d, to.Y+dir.Y*d)
 		if o := router.Owner(ap); o != "" && o != net {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v owned by %q\n", d, ap, o)
-			}
 			continue
 		}
 		// The leg's true geometry must keep metal spacing from every
 		// other net's drawn wire (2λ half-width + 3λ spacing).
 		leg := geom.R(to.X, to.Y, ap.X, ap.Y).Inset(-geom.L(5))
 		if u.foreignSegClash(net, leg) {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v leg blocked\n", d, ap)
-			}
 			continue
 		}
 		pts, err := router.Route(net, from, ap)
 		if err != nil {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v route err: %v\n", d, ap, err)
-				if debugDump {
-					router.DumpOwners()
-					debugDump = false
-				}
-			}
 			continue
 		}
 		// Hard geometric gate: the drawn path must keep metal spacing
@@ -967,9 +934,6 @@ func routeToTarget(u *unitCtx, net string, from geom.Point, tgt Request, core ge
 			clash = u.foreignSegClash(net, r)
 		}
 		if clash {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v geometric clash\n", d, ap)
-			}
 			continue
 		}
 		// Claim the leg corridor so later wires keep clear of it.
@@ -1038,13 +1002,6 @@ func routingOrder(placements []placed, center geom.Point, strategy int) ([]int, 
 			}
 		}
 		if cut >= 0 {
-			if debugRoute {
-				fmt.Printf("CUT at %.2f rad\n", cut)
-				for _, p := range placements {
-					fmt.Printf("  arc %-8s stub %.2f target %.2f\n", p.req.Net,
-						clockAngle(p.s.stub, center), clockAngle(p.req.At, center))
-				}
-			}
 			key := func(i int) float64 {
 				ang := clockAngle(placements[i].req.At, center) - cut
 				if ang < 0 {
@@ -1382,6 +1339,3 @@ func walkPerimeter(inner geom.Rect, d int64) slot {
 		return slot{side: 3, center: geom.Pt(inner.MinX-geom.L(28), y), stub: geom.Pt(inner.MinX, y), t: t}
 	}
 }
-
-// SetClaimCorridors toggles corridor pre-claiming (test knob).
-func SetClaimCorridors(on bool) { claimCorridors = on }

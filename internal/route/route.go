@@ -416,22 +416,3 @@ func PathLength(pts []geom.Point) geom.Coord {
 	}
 	return sum
 }
-
-// DumpOwners prints a coarse ASCII map of cell ownership (debugging aid).
-func (r *Router) DumpOwners() {
-	for cy := r.ny - 1; cy >= 0; cy -= 2 {
-		row := make([]byte, 0, r.nx)
-		for cx := 0; cx < r.nx; cx++ {
-			o := r.names[r.owner[r.idx(cx, cy)]]
-			switch {
-			case o == "":
-				row = append(row, '.')
-			case o == "core!":
-				row = append(row, '#')
-			default:
-				row = append(row, o[len(o)-1])
-			}
-		}
-		fmt.Println(string(row))
-	}
-}

@@ -5,9 +5,9 @@
 package sticks
 
 import (
-	"fmt"
+	"bytes"
 	"sort"
-	"strings"
+	"strconv"
 
 	"bristleblocks/internal/geom"
 	"bristleblocks/internal/layer"
@@ -145,52 +145,51 @@ func (d *Diagram) Render(scale geom.Coord) string {
 	}
 	w := int(bb.W()/scale) + 1
 	h := int(bb.H()/scale) + 1
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	grid := make([][]byte, h)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", w))
-	}
+	// One row-major canvas, each row w glyphs plus a newline slot; row 0
+	// is the top of the drawing.
+	stride := w + 1
+	canvas := bytes.Repeat([]byte{' '}, h*stride)
 	px := func(p geom.Point) (int, int) {
 		return int((p.X - bb.MinX) / scale), int((p.Y - bb.MinY) / scale)
 	}
 	set := func(x, y int, b byte) {
 		if y >= 0 && y < h && x >= 0 && x < w {
-			grid[h-1-y][x] = b // row 0 is the top of the drawing
+			canvas[(h-1-y)*stride+x] = b
 		}
 	}
-	// Deterministic draw order: by layer so metal overdraws poly overdraws diff.
-	segs := append([]Seg(nil), d.Segs...)
-	sort.SliceStable(segs, func(i, j int) bool { return segs[i].Layer < segs[j].Layer })
-	for _, s := range segs {
-		g, ok := layerGlyph[s.Layer]
+	// Deterministic draw order: by layer so metal overdraws poly overdraws
+	// diff, and in insertion order within a layer (a stable sort by layer).
+	var present [1 << 8]bool // layer.Layer is a uint8
+	for _, s := range d.Segs {
+		present[s.Layer] = true
+	}
+	for l, ok := range present {
+		if !ok {
+			continue
+		}
+		g, ok := layerGlyph[layer.Layer(l)]
 		if !ok {
 			g = [2]byte{'.', '.'}
 		}
-		ax, ay := px(s.A)
-		bx, by := px(s.B)
-		switch {
-		case ay == by:
-			if ax > bx {
-				ax, bx = bx, ax
+		for _, s := range d.Segs {
+			if s.Layer != layer.Layer(l) {
+				continue
 			}
-			for x := ax; x <= bx; x++ {
-				set(x, ay, g[0])
+			ax, ay := px(s.A)
+			bx, by := px(s.B)
+			switch {
+			case ay == by:
+				for x := min(ax, bx); x <= max(ax, bx); x++ {
+					set(x, ay, g[0])
+				}
+			case ax == bx:
+				for y := min(ay, by); y <= max(ay, by); y++ {
+					set(ax, y, g[1])
+				}
+			default: // non-Manhattan: draw endpoints only
+				set(ax, ay, '?')
+				set(bx, by, '?')
 			}
-		case ax == bx:
-			if ay > by {
-				ay, by = by, ay
-			}
-			for y := ay; y <= by; y++ {
-				set(ax, y, g[1])
-			}
-		default: // non-Manhattan: draw endpoints only
-			set(ax, ay, '?')
-			set(bx, by, '?')
 		}
 	}
 	for _, dot := range d.Dots {
@@ -205,20 +204,36 @@ func (d *Diagram) Render(scale geom.Coord) string {
 		x, y := px(p.At)
 		set(x, y, 'o')
 	}
-	var sb strings.Builder
-	for _, row := range grid {
-		sb.Write([]byte(strings.TrimRight(string(row), " ")))
-		sb.WriteByte('\n')
+	// Trim each row's trailing blanks in place. A trimmed row plus its
+	// newline never outgrows its stride, so the write cursor never passes
+	// the row being read.
+	out := 0
+	for r := 0; r < h; r++ {
+		row := canvas[r*stride : r*stride+w]
+		end := len(row)
+		for end > 0 && row[end-1] == ' ' {
+			end--
+		}
+		out += copy(canvas[out:], row[:end])
+		canvas[out] = '\n'
+		out++
 	}
+	canvas = canvas[:out]
 	// Legend with pin names.
 	if len(d.Pins) > 0 {
 		pins := append([]Pin(nil), d.Pins...)
 		sort.Slice(pins, func(i, j int) bool { return pins[i].Name < pins[j].Name })
-		sb.WriteString("pins:")
+		canvas = append(canvas, "pins:"...)
 		for _, p := range pins {
-			fmt.Fprintf(&sb, " %s%s", p.Name, p.At)
+			canvas = append(canvas, ' ')
+			canvas = append(canvas, p.Name...)
+			canvas = append(canvas, '(')
+			canvas = strconv.AppendInt(canvas, int64(p.At.X), 10)
+			canvas = append(canvas, ',')
+			canvas = strconv.AppendInt(canvas, int64(p.At.Y), 10)
+			canvas = append(canvas, ')')
 		}
-		sb.WriteByte('\n')
+		canvas = append(canvas, '\n')
 	}
-	return sb.String()
+	return string(canvas)
 }
