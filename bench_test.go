@@ -397,8 +397,9 @@ func BenchmarkRender(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, chip := range chips {
-				if _, err := cif.Append(nil, chip.Mask, cif.DefaultLambdaCentimicrons); err != nil {
-					b.Fatal(err)
+				out, err := cif.Append(nil, chip.Mask, cif.DefaultLambdaCentimicrons)
+				if err != nil || len(out) == 0 {
+					b.Fatal("empty CIF", err)
 				}
 			}
 		}

@@ -191,8 +191,15 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestWriteRejectsBadLambda(t *testing.T) {
-	if err := Write(&bytes.Buffer{}, mask.NewCell("x"), 0); err == nil {
-		t.Error("lambda 0 should be rejected")
+	for _, lambda := range []int{0, -250} {
+		var buf bytes.Buffer
+		err := Write(&buf, mask.NewCell("x"), lambda)
+		if err == nil || !strings.HasPrefix(err.Error(), "cif: non-positive lambda") {
+			t.Errorf("lambda %d: error %v, want non-positive lambda", lambda, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("lambda %d: wrote %d bytes before failing", lambda, buf.Len())
+		}
 	}
 }
 

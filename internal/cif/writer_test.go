@@ -2,7 +2,6 @@ package cif
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"bristleblocks/internal/geom"
@@ -109,22 +108,6 @@ func TestWriteScaleLine(t *testing.T) {
 		want := tc.want + "9 top;\nL NM;\nB 4 4 2 2;\nDF;\nC 1;\nE\n"
 		if got := writeString(t, top, tc.lambda); got != want {
 			t.Errorf("lambda %d:\n got %q\nwant %q", tc.lambda, got, want)
-		}
-	}
-}
-
-func TestWriteBadLambdaError(t *testing.T) {
-	for _, lambda := range []int{0, -250} {
-		var buf bytes.Buffer
-		err := Write(&buf, mask.NewCell("x"), lambda)
-		if err == nil {
-			t.Fatalf("lambda %d: no error", lambda)
-		}
-		if !strings.HasPrefix(err.Error(), "cif: non-positive lambda") {
-			t.Errorf("lambda %d: error %q", lambda, err)
-		}
-		if buf.Len() != 0 {
-			t.Errorf("lambda %d: wrote %d bytes before failing", lambda, buf.Len())
 		}
 	}
 }

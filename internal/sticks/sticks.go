@@ -209,12 +209,7 @@ func (d *Diagram) Render(scale geom.Coord) string {
 	// the row being read.
 	out := 0
 	for r := 0; r < h; r++ {
-		row := canvas[r*stride : r*stride+w]
-		end := len(row)
-		for end > 0 && row[end-1] == ' ' {
-			end--
-		}
-		out += copy(canvas[out:], row[:end])
+		out += copy(canvas[out:], bytes.TrimRight(canvas[r*stride:r*stride+w], " "))
 		canvas[out] = '\n'
 		out++
 	}
