@@ -116,8 +116,7 @@ func appendCellBody(dst []byte, c *mask.Cell, num map[*mask.Cell]int) []byte {
 	}
 	for _, wr := range c.Wires {
 		setLayer(wr.Layer)
-		dst = append(dst, "W "...)
-		dst = strconv.AppendInt(dst, int64(wr.Width), 10)
+		dst = appendCoord(append(dst, 'W'), wr.Width)
 		dst = appendPoints(dst, wr.Path)
 	}
 	for _, pg := range c.Polys {
@@ -135,8 +134,7 @@ func appendCellBody(dst []byte, c *mask.Cell, num map[*mask.Cell]int) []byte {
 		dst = append(dst, ";\n"...)
 	}
 	for _, in := range c.Insts {
-		dst = append(dst, "C "...)
-		dst = strconv.AppendInt(dst, int64(num[in.Cell]), 10)
+		dst = appendCoord(append(dst, 'C'), geom.Coord(num[in.Cell]))
 		if int(in.T.Orient) < len(orientOps) {
 			dst = append(dst, orientOps[in.T.Orient]...)
 		}
