@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ import (
 	"bristleblocks/internal/cif"
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/experiments"
-	"bristleblocks/internal/pads"
+	"bristleblocks/internal/incr"
+	"bristleblocks/internal/scenario"
 	"bristleblocks/internal/server"
 	"bristleblocks/internal/specgen"
 	"bristleblocks/internal/trace"
@@ -272,14 +274,9 @@ func BenchmarkCorePassParallel(b *testing.B) { benchCorePass(b, 0) }
 // benchRoutePass compiles every spec in examples/chips end-to-end at the
 // given pool width and reports the summed Pass 3 wall-clock as the
 // "pads-ms" metric (time/op includes Passes 1-2, so the metric is the
-// number to compare). seed selects the seed router configuration — Lee
-// wavefront, pure serial commit — as the baseline arm.
-func benchRoutePass(b *testing.B, parallelism int, seed bool) {
+// number to compare).
+func benchRoutePass(b *testing.B, parallelism int) {
 	b.Helper()
-	if seed {
-		pads.SetSeedMode(true)
-		defer pads.SetSeedMode(false)
-	}
 	specs := chipsSpecs(b)
 	opts := &core.Options{Parallelism: parallelism, SkipExtraReps: true}
 	var padsUS int64
@@ -297,12 +294,9 @@ func benchRoutePass(b *testing.B, parallelism int, seed bool) {
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 }
 
-// BenchmarkRouteSeed is the pre-A* baseline: Lee search, serial commit.
-func BenchmarkRouteSeed(b *testing.B) { benchRoutePass(b, 1, true) }
-
 // BenchmarkRouteSerial is Pass 3 with A* and the speculative pipeline
 // drained by a single worker.
-func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1, false) }
+func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1) }
 
 // BenchmarkRoutePassRejected is Pass 3 at -j 1 over ForPads specs it
 // rejects: the cost of running the whole (moat, strategy) rip-up ladder to
@@ -333,15 +327,43 @@ func BenchmarkRoutePassRejected(b *testing.B) {
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 }
 
-// BenchmarkRouteParallel is the tentpole arm: A* routing with speculative
-// net fan-out on a GOMAXPROCS-wide pool. Compare pads-ms against
-// BenchmarkRouteSeed for the Pass 3 speedup.
-func BenchmarkRouteParallel(b *testing.B) { benchRoutePass(b, 0, false) }
+// BenchmarkRouteParallel is A* routing with speculative net fan-out on a
+// GOMAXPROCS-wide pool. Compare pads-ms against BenchmarkRouteSerial for
+// what the fan-out buys on this machine.
+func BenchmarkRouteParallel(b *testing.B) { benchRoutePass(b, 0) }
 
 // BenchmarkRouteParallelJ8 pins the pool width to 8 regardless of the
-// machine — the arm BENCH_PR5.json's pad_pass_speedup_j8 compares against
-// the seed.
-func BenchmarkRouteParallelJ8(b *testing.B) { benchRoutePass(b, 8, false) }
+// machine, so runs on different hosts compare the same schedule.
+func BenchmarkRouteParallelJ8(b *testing.B) { benchRoutePass(b, 8) }
+
+// BenchmarkControlPass is Pass 2 over every example chip, with and without
+// the Espresso-style minimizer. time/op includes Pass 1 (the decoder needs
+// the core's drop offsets); the comparison lives in the pla-ms metric, the
+// summed Pass 2 wall-clock per iteration.
+func BenchmarkControlPass(b *testing.B) {
+	specs := chipsSpecs(b)
+	for _, arm := range []struct {
+		name    string
+		skipMin bool
+	}{{"minimized", false}, {"unminimized", true}} {
+		opts := &core.Options{SkipMinimize: arm.skipMin, SkipPads: true, SkipExtraReps: true}
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var plaUS int64
+			for i := 0; i < b.N; i++ {
+				plaUS = 0
+				for _, spec := range specs {
+					chip, err := core.Compile(spec, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					plaUS += chip.Times.Control.Microseconds()
+				}
+			}
+			b.ReportMetric(float64(plaUS)/1e3, "pla-ms")
+		})
+	}
+}
 
 // BenchmarkCompileCachedHit is the serving path's hot case: the
 // CompileLarge spec re-requested through a warm content-addressed cache.
@@ -367,6 +389,45 @@ func BenchmarkCompileCachedHit(b *testing.B) {
 			b.Fatal("cache miss on the warm path")
 		}
 	}
+}
+
+// BenchmarkIncrEdit is the edit-session inner loop: each iteration moves
+// the CompileLarge chip's constant to a fresh two-bit value and
+// recompiles. The same popcount keeps the voted globals and chip bounds
+// pinned, and the top row is untouched, so the decoder's drop offsets and
+// with them the Pass 2 artifact stay valid. cold compiles each edit from
+// scratch; warm compiles against one incr store, so only the edited
+// element regenerates. Both skip the extra representations, like the
+// watch loop's CIF-only cycle.
+func BenchmarkIncrEdit(b *testing.B) {
+	spec := experiments.SpecFor(experiments.Suite[4])
+	at := len(spec.Elements) - 1 // the const element
+	opts := &core.Options{SkipExtraReps: true}
+	compileEdit := func(b *testing.B, ctx context.Context, i int) {
+		spec.Elements[at].Params["value"] = strconv.Itoa(3 << uint(i%(spec.DataWidth-2)))
+		if _, err := core.CompileCtx(ctx, spec, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			compileEdit(b, context.Background(), i)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		store, err := incr.New(0, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := incr.WithStore(context.Background(), store)
+		compileEdit(b, ctx, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			compileEdit(b, ctx, i+1)
+		}
+	})
 }
 
 // BenchmarkRender times the render layer on its own: the CIF and sticks
@@ -497,4 +558,74 @@ func BenchmarkSimFibonacci(b *testing.B) {
 		}
 		machine.Run(program)
 	}
+}
+
+// BenchmarkSim sweeps all 4096 microcode words of the CompileLarge chip and
+// reads the two-phase control levels: the logic-vs-simulation invariant's
+// inner loop. interpreted pays a fresh CycleState (maps and bus snapshots)
+// per word; compiled runs pre-bound closures into reused scratch.
+func BenchmarkSim(b *testing.B) {
+	chip := compileSuite(b, 4, &core.Options{SkipPads: true, SkipExtraReps: true})
+	words := uint64(1) << chip.Spec.Microcode.Width
+	b.Run("interpreted", func(b *testing.B) {
+		machine, err := chip.NewSim()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for micro := uint64(0); micro < words; micro++ {
+				machine.Step(micro)
+			}
+		}
+	})
+	b.Run("compiled", func(b *testing.B) {
+		machine, err := chip.NewCompiledSim()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for micro := uint64(0); micro < words; micro++ {
+				machine.StepCtl(micro)
+			}
+		}
+	})
+}
+
+// BenchmarkScenarioGrade grades every example scenario against its
+// pre-compiled chip: what a warm /verify request or a bristlec -verify
+// rerun pays. vectors/s is the graded-vector throughput.
+func BenchmarkScenarioGrade(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("examples", "scenarios", "*.sv"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no example scenarios found: %v", err)
+	}
+	var (
+		scs     []*scenario.Scenario
+		chips   []*core.Chip
+		vectors int
+	)
+	for _, path := range files {
+		parsed, err := scenario.ParseFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chip := compileExample(b, strings.TrimSuffix(filepath.Base(path), ".sv"))
+		for _, sc := range parsed {
+			scs = append(scs, sc)
+			chips = append(chips, chip)
+			vectors += sc.Vectors()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, sc := range scs {
+			if v := scenario.Grade(chips[j], sc); !v.Passed100() {
+				b.Fatalf("scenario %s graded %d%%", sc.Name, v.GradePercent)
+			}
+		}
+	}
+	b.ReportMetric(float64(vectors)*float64(b.N)/b.Elapsed().Seconds(), "vectors/s")
 }

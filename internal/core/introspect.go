@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bristleblocks/internal/bus"
 	"bristleblocks/internal/cell"
 	"bristleblocks/internal/geom"
 )
@@ -55,13 +54,4 @@ func (c *Chip) GlobalNets() map[string]bool {
 		return map[string]bool{"gnd": true, "vdd": true, "phi1": true, "phi2": true}
 	}
 	return c.globalNets()
-}
-
-// BusSegments reports the planned bus segments (empty before the core
-// pass).
-func (c *Chip) BusSegments() []bus.Segment {
-	if c.plan == nil {
-		return nil
-	}
-	return append([]bus.Segment(nil), c.plan.Segments...)
 }

@@ -64,9 +64,6 @@ func (a *Array) Compile() *Compiled {
 // contract for DecodeInto's out slice.
 func (c *Compiled) ControlNames() []string { return c.names }
 
-// ControlSpecs returns the compiled control specs in evaluation order.
-func (c *Compiled) ControlSpecs() []ControlSpec { return c.ctls }
-
 // Eval computes control i for a microcode word, ignoring phase.
 func (c *Compiled) Eval(i int, micro uint64) bool {
 	for _, m := range c.terms[i] {

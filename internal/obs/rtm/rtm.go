@@ -18,7 +18,6 @@ package rtm
 import (
 	"runtime/metrics"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -260,17 +259,6 @@ var (
 	}
 )
 
-// allocProbeOff gates ReadAllocs. The zero value (probe on) is the
-// production state; only the telemetry-overhead benchmark flips it.
-var allocProbeOff atomic.Bool
-
-// SetAllocProbe turns the pass-boundary allocation probe on or off.
-// With the probe off ReadAllocs returns zeros without touching
-// runtime/metrics, so every attribution delta collapses to zero — the
-// "telemetry off" arm of the overhead benchmark (tools/benchjson). The
-// daemon never disables it.
-func SetAllocProbe(on bool) { allocProbeOff.Store(!on) }
-
 // ReadAllocs returns the process-cumulative allocation counters: objects
 // and bytes allocated since start. Both are monotonic and GC-immune
 // (frees don't subtract), so a delta across a pass is the pass's own
@@ -278,9 +266,6 @@ func SetAllocProbe(on bool) { allocProbeOff.Store(!on) }
 // meanwhile, which is why attribution callers compile solo or accept
 // process-wide noise (documented in docs/OBSERVABILITY.md).
 func ReadAllocs() (objects, bytes uint64) {
-	if allocProbeOff.Load() {
-		return 0, 0
-	}
 	allocMu.Lock()
 	metrics.Read(allocSamples)
 	if allocSamples[0].Value.Kind() == metrics.KindUint64 {

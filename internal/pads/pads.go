@@ -31,11 +31,6 @@ import (
 	"bristleblocks/internal/trace"
 )
 
-// seedMode forces the seed configuration — Lee wavefront search and the
-// pure serial route loop with no speculation — so benchmarks can measure
-// the A* + fan-out rework against the behavior it replaced.
-var seedMode = false
-
 // routeWave is the number of routing units speculated per wave. A
 // constant (never derived from Options.Parallelism): the wave boundaries
 // shape the committed wires, and they must be identical at every pool
@@ -43,9 +38,6 @@ var seedMode = false
 // intra-wave collisions stay rare in a crowded moat, large enough to keep
 // a full pool busy.
 const routeWave = 16
-
-// SetSeedMode toggles the seed-baseline configuration (benchmark knob).
-func SetSeedMode(on bool) { seedMode = on }
 
 // Request is one pad-needing connection point, in chip coordinates.
 type Request struct {
@@ -257,9 +249,6 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 	// overlapping the surviving combos is where racing actually pays.
 	if runCombo(0).err != nil && n > 1 {
 		workers := pool.Size(opts.Parallelism, n-1)
-		if seedMode {
-			workers = 1
-		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -502,11 +491,9 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 	// 14λ pitch: even a wire pinned to one edge of its cell (off-grid
 	// endpoints) keeps 3λ of metal spacing from a wire centered in the
 	// neighboring cell. The router is recycled across the ladder's
-	// attempts (same bounds every time); seedMode rebuilds it per attempt
-	// like the seed did.
-	var router *route.Router
-	if !seedMode && *rcache != nil {
-		router = *rcache
+	// attempts (same bounds every time).
+	router := *rcache
+	if router != nil {
 		router.Reset()
 	} else {
 		var err error
@@ -515,12 +502,7 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 			return nil, err
 		}
 		router.EnableJournal()
-		if !seedMode {
-			*rcache = router
-		}
-	}
-	if seedMode {
-		router.SetAlgorithm(route.Lee)
+		*rcache = router
 	}
 	// The core plus a reserved band around it is an obstacle: routed wires
 	// stay out of the band, and each connection point is reached by a
@@ -666,7 +648,7 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 		snapSeq := master.Seq()
 		// Full-slice so concurrent appends by clones cannot share backing.
 		snapSegs := segments[:len(segments):len(segments)]
-		if speculate && !seedMode && !fellBack {
+		if speculate && !fellBack {
 			// Returning the unit's own routing error stops dispatch past
 			// the first failure — the commit loop re-routes the failed unit
 			// (and the rest of its wave) serially on the live grid, where

@@ -113,40 +113,6 @@ func TestRouteMatchesLeeOracle(t *testing.T) {
 	}
 }
 
-// TestLeeAlgorithmMatchesOracle runs the same battery against the Lee
-// reference Algorithm — the seed behavior the differential benchmarks
-// compare against must itself be optimal.
-func TestLeeAlgorithmMatchesOracle(t *testing.T) {
-	const pitch = geom.Coord(32)
-	rng := rand.New(rand.NewSource(99))
-	r := mustRouter(t, geom.R(0, 0, 24*pitch, 24*pitch), pitch)
-	r.SetAlgorithm(Lee)
-	for i := 0; i < 8; i++ {
-		x := geom.Coord(rng.Intn(20)) * pitch
-		y := geom.Coord(rng.Intn(20)) * pitch
-		r.Block(geom.R(x, y, x+4*pitch, y+2*pitch), "obs")
-	}
-	for pair := 0; pair < 16; pair++ {
-		net := fmt.Sprintf("n%d", pair)
-		fx, fy := rng.Intn(24), rng.Intn(24)
-		tx, ty := rng.Intn(24), rng.Intn(24)
-		from, to := r.center(fx, fy), r.center(tx, ty)
-		if r.Owner(from) != "" || r.Owner(to) != "" {
-			continue
-		}
-		optimal, reachable := leeOracle(r, net, fx, fy, tx, ty)
-		pts, err := r.Route(net, from, to)
-		if reachable != (err == nil) {
-			t.Fatalf("pair %d: oracle reachable=%v, Route err=%v", pair, reachable, err)
-		}
-		if err == nil {
-			if got, want := PathLength(pts), geom.Coord(optimal)*pitch; got != want {
-				t.Fatalf("pair %d: Lee path length %d, optimal %d", pair, got, want)
-			}
-		}
-	}
-}
-
 // TestFloodCacheMixedGoals exercises the failed-flood cache the way Pass
 // 3's approach-point scan does: many Route calls for the SAME net from the
 // SAME start, mixing goals inside a walled-off pocket (unreachable) with

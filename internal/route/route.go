@@ -3,10 +3,10 @@
 // wires between the pads and the connection points".
 //
 // The search is A*-directed (Manhattan-distance heuristic over a bucketed
-// two-FIFO frontier, see astar.go) with the original Lee wavefront kept as
-// a reference Algorithm. Net names are interned to small integer ids so
-// the owner grid is a []netID — cloning a router for speculative routing
-// is a memcpy, and ownership tests never compare strings.
+// two-FIFO frontier, see astar.go). Net names are interned to small
+// integer ids so the owner grid is a []netID — cloning a router for
+// speculative routing is a memcpy, and ownership tests never compare
+// strings.
 //
 // For Pass 3's parallel fan-out the router exposes a snapshot/commit
 // protocol: Clone gives a worker a private copy of the grid, SetRecorder
@@ -22,19 +22,6 @@ import (
 	"fmt"
 
 	"bristleblocks/internal/geom"
-)
-
-// Algorithm selects the search strategy used by Route.
-type Algorithm int
-
-const (
-	// AStar is the default: best-first search directed by the Manhattan
-	// distance to the target. Expands a fraction of the cells Lee does on
-	// open fields and returns paths of identical (optimal) length.
-	AStar Algorithm = iota
-	// Lee is the reference breadth-first wavefront (a zero heuristic) —
-	// the seed behavior, kept for differential tests and benchmarks.
-	Lee
 )
 
 // netID is an interned net name; 0 is the free cell.
@@ -97,8 +84,6 @@ type Router struct {
 	// loop writes the master.
 	shared bool
 
-	alg Algorithm
-
 	// journal[i] is the Seq at which cell i last changed owner (0 = during
 	// setup, before EnableJournal). Only the master router of a speculative
 	// fan-out journals; clones leave it nil.
@@ -135,9 +120,6 @@ func New(region geom.Rect, pitch geom.Coord) (*Router, error) {
 	}, nil
 }
 
-// SetAlgorithm selects the search strategy (default AStar).
-func (r *Router) SetAlgorithm(a Algorithm) { r.alg = a }
-
 // Reset returns the router to an all-free grid, keeping its allocations —
 // owner and journal arrays, search scratch, interned net names — for the
 // next attempt. A rip-up ladder re-routes the same placement dozens of
@@ -165,7 +147,7 @@ func (r *Router) Stats() SearchStats { return r.stats }
 func (r *Router) AddStats(s SearchStats) { r.stats.Add(s) }
 
 // Clone returns a private copy of the grid for speculative routing: same
-// region, pitch, algorithm and interned nets, its own owner array (a
+// region, pitch and interned nets, its own owner array (a
 // single memcpy), fresh statistics, no journal and no recorder. The net
 // name tables are shared copy-on-write — a clone routing an already-known
 // net (the usual case; its terminals were claimed on the master) never
@@ -180,7 +162,6 @@ func (r *Router) Clone() *Router {
 		names:  r.names,
 		ids:    r.ids,
 		shared: true,
-		alg:    r.alg,
 	}
 }
 
@@ -193,7 +174,7 @@ func (r *Router) CloneInto(dst *Router) *Router {
 	if dst == nil || dst.nx != r.nx || dst.ny != r.ny || dst.journal != nil {
 		return r.Clone()
 	}
-	dst.region, dst.pitch, dst.alg = r.region, r.pitch, r.alg
+	dst.region, dst.pitch = r.region, r.pitch
 	copy(dst.owner, r.owner)
 	dst.names = r.names
 	dst.ids = r.ids

@@ -12,8 +12,8 @@
 // failures happen, so the code under test sees connection resets and
 // timeouts — not tidy error returns.
 //
-// The package takes no *testing.T: tools/benchjson reuses the same farm
-// for its QPS arms, and a benchmark harness is not a test.
+// The package takes no *testing.T: New returns an error and the caller
+// decides how to report it.
 package farmtest
 
 import (

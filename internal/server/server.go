@@ -902,10 +902,6 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// QueueLen reports the requests currently waiting for a worker (tests and
-// metrics).
-func (s *Server) QueueLen() int { return len(s.jobs) }
-
 // Workers reports the resolved worker-pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
 

@@ -22,7 +22,7 @@ import (
 //
 //	go test -run TestGoldenScenarios -update
 
-func compileExample(t *testing.T, name string) *bristleblocks.Chip {
+func compileExample(t testing.TB, name string) *bristleblocks.Chip {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("examples", "chips", name+".bb"))
 	if err != nil {
