@@ -6,6 +6,7 @@ package bristleblocks_test
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -512,6 +513,44 @@ func BenchmarkServerThroughput(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServerHitReps is one warm /compile hit that asks for the CIF
+// and sticks, the shape of bbdbench's hot_cache: no compile work, so the
+// time and allocations are parse, key, lookup, the response writer and
+// HTTP. BenchmarkServerThroughput asks for no representations and never
+// reaches the writer's representation path.
+func BenchmarkServerHitReps(b *testing.B) {
+	s, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	}()
+	spec := bristleblocks.FormatSpec(experiments.SpecFor(experiments.Suite[4]))
+	url := ts.URL + "/compile?reps=cif,sticks"
+	post := func() int64 {
+		resp, err := http.Post(url, "text/plain", strings.NewReader(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, read error %v", resp.StatusCode, err)
+		}
+		return n
+	}
+	n := post() // the cold compile, outside the timer
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
 }
 
 // BenchmarkDRCFullChip measures the design-rule checker over a complete

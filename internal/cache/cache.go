@@ -66,6 +66,10 @@ type Result struct {
 	Text    string     `json:"text,omitempty"`
 	Block   string     `json:"block,omitempty"`
 	Logical string     `json:"logical,omitempty"`
+
+	// plain memoizes, per representation, whether AppendJSON may write it
+	// without encoding/json (see json.go).
+	plain atomic.Uint32
 }
 
 // TimesUS records the original compile's per-pass wall-clock in

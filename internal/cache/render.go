@@ -10,16 +10,20 @@ import (
 // representations. The mask hierarchy itself is not stored — CIF is the
 // canonical serialized form of the Layout representation; the sticks
 // diagram is rendered at the invariant harness's 16λ scale so daemon
-// responses and differential baselines are comparable bytes.
+// responses and differential baselines are comparable bytes. The CIF is
+// stored as an exact-length copy: cif.Append reserves from an estimate,
+// and a cached entry should hold (and be charged for) only its bytes.
 func Render(chip *core.Chip) (*Result, error) {
 	lambda := chip.Spec.LambdaCentimicrons
 	if lambda <= 0 {
 		lambda = cif.DefaultLambdaCentimicrons
 	}
-	text, err := cif.Append(nil, chip.Mask, lambda)
+	buf, err := cif.Append(nil, chip.Mask, lambda)
 	if err != nil {
 		return nil, err
 	}
+	text := make([]byte, len(buf))
+	copy(text, buf)
 	sticks := ""
 	if chip.Sticks != nil {
 		sticks = chip.Sticks.Render(16)

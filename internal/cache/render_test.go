@@ -92,3 +92,22 @@ func TestRenderPinned(t *testing.T) {
 		t.Fatalf("render digests changed:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
+
+// TestRenderCIFExactLength: a cached CIF holds only its bytes, not the
+// spare capacity of cif.Append's estimated buffer, so the LRU's cost
+// charge matches what the entry keeps resident.
+func TestRenderCIFExactLength(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		chip, err := core.Compile(specgen.FromSeed(seed, &specgen.Config{ForPads: true}), nil)
+		if err != nil {
+			continue
+		}
+		res, err := Render(chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(res.CIF) != len(res.CIF) {
+			t.Errorf("seed %d: cap(CIF) = %d, len = %d", seed, cap(res.CIF), len(res.CIF))
+		}
+	}
+}

@@ -572,7 +572,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		Stats:     out.res.Stats,
 		TimesUS:   out.res.TimesUS,
 	}
-	fillReps(resp, out.res, reps)
 	switch traceMode {
 	case traceSpans:
 		resp.Trace = tr.Spans()
@@ -589,8 +588,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			"pla_terms", out.res.Stats.PLATerms,
 			"dur", time.Since(start))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeCompileResponse(w, resp, out.res, reps)
 }
 
 // recordFlight classifies how a compile that reached the worker pool ended
@@ -660,7 +658,7 @@ func parseQuery(r *http.Request) (*core.Options, map[string]bool, traceMode, err
 			case "cif", "sticks", "text", "block", "logical":
 				reps[name] = true
 			case "all":
-				for _, n := range []string{"cif", "sticks", "text", "block", "logical"} {
+				for _, n := range repNames {
 					reps[n] = true
 				}
 			default:
@@ -785,6 +783,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// repNames lists the representations ?reps= can ask for, in the order
+// CompileResponse carries them.
+var repNames = [...]string{"cif", "sticks", "text", "block", "logical"}
+
 // fillReps copies the representations the request asked for (?reps=) from
 // the cached result into the response.
 func fillReps(resp *CompileResponse, res *cache.Result, reps map[string]bool) {
@@ -803,6 +805,63 @@ func fillReps(resp *CompileResponse, res *cache.Result, reps map[string]bool) {
 	if reps["logical"] {
 		resp.Logical = res.Logical
 	}
+}
+
+// respBufs holds the buffers writeCompileResponse assembles bodies in.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// compileTail is the part of a CompileResponse that follows the
+// representations, with the same fields in the same order.
+type compileTail struct {
+	Trace       []trace.Span    `json:"trace,omitempty"`
+	TraceEvents json.RawMessage `json:"trace_events,omitempty"`
+	Incr        *IncrCounters   `json:"incr,omitempty"`
+}
+
+// writeCompileResponse writes the JSON body of a compile reply: the bytes
+// json.NewEncoder(w).Encode(resp) would write after fillReps(resp, res,
+// reps), in one Write. The head and tail fields go through encoding/json;
+// the representations come straight from res.AppendJSON, so a cache hit
+// does not re-escape its CIF and sticks text. resp's own representation
+// fields must be empty. If resp does not marshal, nothing is written, as
+// with Encode.
+func writeCompileResponse(w http.ResponseWriter, resp *CompileResponse, res *cache.Result, reps map[string]bool) {
+	head := *resp
+	head.Trace, head.TraceEvents, head.Incr = nil, nil, nil
+	h, err := json.Marshal(&head)
+	if err != nil {
+		return
+	}
+	t, err := json.Marshal(compileTail{resp.Trace, resp.TraceEvents, resp.Incr})
+	if err != nil {
+		return
+	}
+	bp := respBufs.Get().(*[]byte)
+	b := append((*bp)[:0], h[:len(h)-1]...) // the head without its '}'
+	for _, rep := range repNames {
+		if !reps[rep] {
+			continue
+		}
+		n := len(b)
+		b = append(b, `,"`...)
+		b = append(b, rep...)
+		b = append(b, `":`...)
+		m := len(b)
+		if b = res.AppendJSON(b, rep); len(b) == m+len(`""`) {
+			b = b[:n] // omitempty
+		}
+	}
+	if len(t) > len("{}") {
+		b = append(b, ',')
+		b = append(b, t[1:]...)
+	} else {
+		b = append(b, '}')
+	}
+	b = append(b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
+	*bp = b
+	respBufs.Put(bp)
 }
 
 // sloOutcome classifies a terminal HTTP status for the error budget:

@@ -354,18 +354,6 @@ func (s *Server) handleSessionCompile(w http.ResponseWriter, r *http.Request, se
 			HitRatio:      sess.store.HitRatio(),
 		},
 	}
-	if reps["cif"] {
-		resp.CIF = string(res.CIF)
-	}
-	if reps["text"] {
-		resp.Text = res.Text
-	}
-	if reps["block"] {
-		resp.Block = res.Block
-	}
-	if reps["logical"] {
-		resp.Logical = res.Logical
-	}
 	switch traceMode {
 	case traceSpans:
 		resp.Trace = tr.Spans()
@@ -380,6 +368,5 @@ func (s *Server) handleSessionCompile(w http.ResponseWriter, r *http.Request, se
 		"incr_misses", resp.Incr.Misses,
 		"incr_invalidations", resp.Incr.Invalidations,
 		"dur", time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeCompileResponse(w, resp, res, reps)
 }

@@ -89,6 +89,31 @@ func TestSessionCompileReusesArtifacts(t *testing.T) {
 	}
 }
 
+// TestSessionCompileAllReps: a session compile with reps=all carries
+// every representation /compile returns for the same spec, sticks
+// included.
+func TestSessionCompileAllReps(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Parallelism: 1})
+	sr := openSession(t, ts.URL)
+	spec := specText(0)
+	_, sess := postSpec(t, ts.URL+"/session/"+sr.SessionID+"/compile?nopads=1&reps=all", spec)
+	_, direct := postSpec(t, ts.URL+"/compile?nopads=1&reps=all", spec)
+	if direct.Sticks == "" {
+		t.Fatal("/compile?reps=all returned no sticks")
+	}
+	for _, rep := range []struct{ name, got, want string }{
+		{"cif", sess.CIF, direct.CIF},
+		{"sticks", sess.Sticks, direct.Sticks},
+		{"text", sess.Text, direct.Text},
+		{"block", sess.Block, direct.Block},
+		{"logical", sess.Logical, direct.Logical},
+	} {
+		if rep.got != rep.want {
+			t.Errorf("session %s differs from /compile (%d vs %d bytes)", rep.name, len(rep.got), len(rep.want))
+		}
+	}
+}
+
 // TestSessionLifecycle covers the management surface: unknown ids 404,
 // DELETE retires, TTL expiry is lazy but effective, and capacity
 // displaces the least recently used session.
