@@ -493,24 +493,27 @@ func BenchmarkServerThroughput(b *testing.B) {
 		s.Shutdown(context.Background())
 	}()
 	spec := bristleblocks.FormatSpec(experiments.SpecFor(experiments.Suite[1]))
+	// Each body is drained before Close so the client reuses its
+	// keep-alive connection; an unread body drops it, and the loop would
+	// time a TCP dial per request.
+	post := func() {
+		resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, read error %v", resp.StatusCode, err)
+		}
+	}
 	// Prime the cache so the measured loop is the serving path, not the
 	// first cold compile.
-	resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
+	post()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
+			post()
 		}
 	})
 }

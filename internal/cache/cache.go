@@ -263,39 +263,29 @@ func (c *Cache) HitRatio() float64 {
 	return h / (h + m)
 }
 
-// Compile is the read-through path the daemon serves from: on a hit the
+// Compile is the read-through path for in-process callers: on a hit the
 // three passes are skipped entirely; on a miss it runs core.CompileCtx,
 // renders the storable representations, and fills both layers. The bool
 // reports whether the result came from the cache. A trace.Trace on the
 // context records the lookup (with its hit/miss outcome) ahead of any
 // compile spans.
 func (c *Cache) Compile(ctx context.Context, spec *core.Spec, opts *core.Options) (*Result, bool, error) {
-	res, _, hit, err := c.CompileChip(ctx, spec, opts)
-	return res, hit, err
-}
-
-// CompileChip is Compile, additionally returning the compiled chip on a
-// cold miss (nil on a hit — cached results don't carry a chip). The
-// daemon's per-compile verifier runs on that chip; plain Compile callers
-// can keep ignoring it.
-func (c *Cache) CompileChip(ctx context.Context, spec *core.Spec, opts *core.Options) (*Result, *core.Chip, bool, error) {
 	tr := trace.FromContext(ctx)
 	key := Key(spec, opts)
 	t0 := time.Now()
 	res, ok := c.GetCtx(ctx, key)
 	tr.Lookup(trace.SpanFromContext(ctx), time.Since(t0), ok)
 	if ok {
-		return res, nil, true, nil
+		return res, true, nil
 	}
 	chip, err := core.CompileCtx(ctx, spec, opts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	res, err = Render(chip)
-	if err != nil {
-		return nil, nil, false, err
+	if res, err = Render(chip); err != nil {
+		return nil, false, err
 	}
 	res.Key = key
 	c.Put(key, res)
-	return res, chip, false, nil
+	return res, false, nil
 }

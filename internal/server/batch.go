@@ -1,20 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"time"
-
-	"bristleblocks/internal/cache"
-	"bristleblocks/internal/core"
-	"bristleblocks/internal/desc"
-	"bristleblocks/internal/obs"
-	"bristleblocks/internal/obs/flightrec"
-	"bristleblocks/internal/trace"
 )
 
 // POST /compile/batch is the farm's bulk front door: N specs in one
@@ -57,28 +47,15 @@ type BatchItem struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.requests.Add(1)
 	s.metrics.batchRequests.Add(1)
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, `POST a {"specs": [...]} JSON body to /compile/batch`)
-		return
-	}
-	sw := &statusWriter{ResponseWriter: w}
-	w = sw
-	defer s.observeRequest(sw, start)
+	s.serve(w, r, `POST a {"specs": [...]} JSON body to /compile/batch`, s.streamBatch)
+}
 
-	reqID := obs.NewRequestID()
-	w.Header().Set("X-Request-Id", reqID)
-	log := s.logger.With("request_id", reqID)
-
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxBatchBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", maxBatchBytes)
+// streamBatch checks an admitted batch and streams one NDJSON line per
+// spec.
+func (s *Server) streamBatch(w http.ResponseWriter, c *call) {
+	body, ok := c.readBody(w, maxBatchBytes, "batch")
+	if !ok {
 		return
 	}
 	var req BatchRequest
@@ -94,8 +71,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d specs", maxBatchSpecs)
 		return
 	}
-	opts, reps, _, err := parseQuery(r)
-	if err != nil {
+	if err := c.parseQuery(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -110,17 +86,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.batchSpecs.Add(int64(len(req.Specs)))
-	log.Info("batch accepted", "specs", len(req.Specs))
+	c.log.Info("batch accepted", "specs", len(req.Specs))
 
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-
-	// Each spec is a child of the batch's inbound trace context (or of a
-	// fresh root when the client sent none), so every farm hop a spec takes
-	// hangs off its own span in the exported trace rather than all specs
-	// sharing one.
-	inbound, hasInbound := trace.ParseTraceparent(r.Header.Get("traceparent"))
 
 	// Admission is bounded by queue capacity so a 4096-spec batch doesn't
 	// stampede the submit loop; results stream as they land regardless.
@@ -130,7 +100,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int, specText string) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results <- s.batchItem(r, i, specText, opts, reps, inbound, hasInbound, log)
+			results <- s.batchItem(c, i, specText)
 		}(i, specText)
 	}
 	enc := json.NewEncoder(w)
@@ -140,7 +110,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.metrics.batchErrors.Add(1)
 		}
 		if err := enc.Encode(item); err != nil {
-			log.Warn("batch stream write failed", "err", err)
+			c.log.Warn("batch stream write failed", "err", err)
 		}
 		// One flush per line: the client owns each result the moment it
 		// completed, not when the batch (or some buffer) fills.
@@ -148,136 +118,89 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	log.Info("batch complete", "specs", len(req.Specs), "dur", time.Since(start))
+	c.log.Info("batch complete", "specs", len(req.Specs), "dur", time.Since(c.start))
 }
 
-// batchItem compiles one batch entry end to end: cache tier, coordinator
-// routing, then the local pool — with a patient re-submit loop when the
-// queue is briefly full, because a batch line must never be lost to
-// transient backpressure.
-func (s *Server) batchItem(r *http.Request, index int, specText string, baseOpts *core.Options, reps map[string]bool, inbound trace.SpanContext, hasInbound bool, log *slog.Logger) BatchItem {
+// batchItem compiles one batch entry as its own call: cache tier,
+// coordinator routing, then the local pool — with a patient re-submit loop
+// when the queue is briefly full, because a batch line must never be lost
+// to transient backpressure. Each spec's trace is a child of the batch's
+// inbound trace context (or of a fresh root when the client sent none), so
+// every farm hop a spec takes hangs off its own span in the exported trace
+// rather than all specs sharing one.
+func (s *Server) batchItem(batch *call, index int, specText string) BatchItem {
 	item := BatchItem{Index: index}
 	if int64(len(specText)) > s.cfg.MaxSpecBytes {
 		item.Error = fmt.Sprintf("spec exceeds %d bytes", s.cfg.MaxSpecBytes)
 		return item
 	}
-	spec, err := desc.Parse(specText)
-	if err != nil {
-		s.metrics.badSpecs.Add(1)
-		item.Error = fmt.Sprintf("parse spec: %v", err)
+	c := s.newCall(batch.r, time.Now(), batch.log, "batch_index", index)
+	if err := c.parseSpec(specText); err != nil {
+		item.Error = err.Error()
 		return item
 	}
-	opts := *baseOpts
-	opts.Parallelism = s.cfg.Parallelism
-
-	reqID := obs.NewRequestID()
-	ilog := log.With("request_id", reqID, "chip", spec.Name, "batch_index", index)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	ctx = obs.WithRequestID(ctx, reqID)
-	ctx = obs.WithLogger(ctx, ilog)
-	tr := trace.New()
-	ctx = trace.WithTrace(ctx, tr)
-	var link trace.SpanContext
-	if hasInbound {
-		link = tr.LinkRemote(inbound)
-	} else {
-		link = tr.LinkNew()
-	}
-
-	key := cache.Key(spec, &opts)
-	start := time.Now()
-	t0 := time.Now()
-	if res, ok := s.cache.GetCtx(ctx, key); ok {
-		tr.Lookup(nil, time.Since(t0), true)
-		s.metrics.cacheServed.Add(1)
-		item.Result = s.batchResponse(reqID, link, res, true, reps)
-		return item
-	}
-
-	// Coordinator hop: the worker's reply is a complete CompileResponse
-	// (already rep-filtered by the forwarded query), errors included.
-	if s.coord != nil {
-		if status, data, ok := s.coord.compileRemote(ctx, r.URL.RawQuery, []byte(specText), link, ilog); ok {
-			s.metrics.batchRemote.Add(1)
-			if status == http.StatusOK {
-				var cr CompileResponse
-				if err := json.Unmarshal(data, &cr); err == nil {
-					item.Result = &cr
+	opts := *batch.opts // begin stamps each item's own copy
+	c.opts, c.reps = &opts, batch.reps
+	defer c.begin()()
+	res, cached := c.lookup()
+	if !cached {
+		// Coordinator hop: the worker's reply is a complete CompileResponse
+		// (already rep-filtered by the forwarded query), errors included.
+		if s.coord != nil {
+			if status, data, ok := s.coord.compileRemote(c.ctx, c.r.URL.RawQuery, []byte(specText), c.link, c.log); ok {
+				s.metrics.batchRemote.Add(1)
+				if status == http.StatusOK {
+					var cr CompileResponse
+					err := json.Unmarshal(data, &cr)
+					if err == nil {
+						item.Result = &cr
+						return item
+					}
+					c.log.Warn("worker reply unparsable, compiling locally", "err", err)
+				} else {
+					var e struct {
+						Error string `json:"error"`
+					}
+					if json.Unmarshal(data, &e) == nil && e.Error != "" {
+						item.Error = e.Error
+					} else {
+						item.Error = fmt.Sprintf("worker answered %d", status)
+					}
 					return item
 				}
-				ilog.Warn("worker reply unparsable, compiling locally", "err", err)
-			} else {
-				var e struct {
-					Error string `json:"error"`
-				}
-				if json.Unmarshal(data, &e) == nil && e.Error != "" {
-					item.Error = e.Error
-				} else {
-					item.Error = fmt.Sprintf("worker answered %d", status)
-				}
-				return item
 			}
 		}
-	}
 
-	// Local compile, with a patient re-submit loop: errQueueFull is
-	// backpressure, not a verdict on this spec.
-	j := &job{ctx: ctx, spec: spec, opts: &opts, done: make(chan jobResult, 1)}
-	for {
-		err := s.submit(j)
-		if err == nil {
-			break
+		// Local compile, with a patient re-submit loop: errQueueFull is
+		// backpressure, not a verdict on this spec.
+		j := &job{c: c, done: make(chan jobResult, 1)}
+		for {
+			err := s.submit(j)
+			if err == nil {
+				break
+			}
+			if err == errDraining {
+				item.Error = err.Error()
+				return item
+			}
+			select {
+			case <-c.ctx.Done():
+				item.Error = fmt.Sprintf("compile exceeded %v waiting for a worker", s.cfg.Timeout)
+				return item
+			case <-time.After(batchRetryDelay):
+			}
 		}
-		if err == errDraining {
-			item.Error = err.Error()
+		out := c.await(j)
+		if c.settle(out, ""); out.err != nil {
+			item.Error = out.err.Error()
 			return item
 		}
-		select {
-		case <-ctx.Done():
-			item.Error = fmt.Sprintf("compile exceeded %v waiting for a worker", s.cfg.Timeout)
-			return item
-		case <-time.After(batchRetryDelay):
-		}
+		res, cached = out.res, out.cached
 	}
-	var out jobResult
-	select {
-	case out = <-j.done:
-	case <-ctx.Done():
-		out = jobResult{err: ctx.Err()}
-	}
-	s.recordFlight(flightrec.Record{
-		ID:       reqID,
-		Start:    start,
-		Chip:     spec.Name,
-		SpecHash: key,
-		Options:  fmt.Sprintf("%+v", opts),
-		DurUS:    time.Since(start).Microseconds(),
-		TraceID:  link.TraceIDString(),
-		Allocs:   flightAllocs(out.allocs),
-		Spans:    tr.Spans(),
-	}, out.err, ctx, r)
-	s.exportTrace(tr)
-	if out.err != nil {
-		item.Error = out.err.Error()
-		return item
-	}
-	item.Result = s.batchResponse(reqID, link, out.res, out.cached, reps)
+	// Trace payloads are never inlined in batch lines (c.mode stays off);
+	// the OTLP export carries them.
+	resp := c.response(res, cached)
+	fillReps(&resp, res, c.reps)
+	item.Result = &resp
 	return item
-}
-
-// batchResponse shapes one batch item's CompileResponse (trace payloads
-// are never inlined in batch lines — the OTLP export carries them).
-func (s *Server) batchResponse(reqID string, link trace.SpanContext, res *cache.Result, cached bool, reps map[string]bool) *CompileResponse {
-	resp := &CompileResponse{
-		RequestID: reqID,
-		TraceID:   link.TraceIDString(),
-		Chip:      res.Chip,
-		Key:       res.Key,
-		Cached:    cached,
-		Stats:     res.Stats,
-		TimesUS:   res.TimesUS,
-	}
-	fillReps(resp, res, reps)
-	return resp
 }

@@ -290,18 +290,3 @@ func (c *coordinator) compileRemote(ctx context.Context, rawQuery string, body [
 	log.Warn("no worker reachable, compiling locally")
 	return 0, nil, false
 }
-
-// routeCompile is compileRemote wired into the /compile handler: on
-// success the worker's buffered reply is relayed verbatim (it is a
-// CompileResponse, bad-spec and compile errors included) and true is
-// returned; false sends the caller down the local-compile path.
-func (c *coordinator) routeCompile(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte, log *slog.Logger, parent trace.SpanContext) bool {
-	status, data, ok := c.compileRemote(ctx, r.URL.RawQuery, body, parent, log)
-	if !ok {
-		return false
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
-	return true
-}

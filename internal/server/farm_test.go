@@ -262,6 +262,33 @@ func TestFarmPeerPartitionDegradesToLocal(t *testing.T) {
 	}
 }
 
+// TestFarmColdCompileFetchesOnce compiles a key another node owns: the
+// request looks it up once, so the owner is asked once and the miss is
+// counted once, not again when the worker picks the compile up.
+func TestFarmColdCompileFetchesOnce(t *testing.T) {
+	farm, err := farmtest.New(farmtest.Config{
+		Workers: 2,
+		Node:    server.Config{Workers: 1, Parallelism: 1, Timeout: 60 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer farm.Close()
+
+	opts := &core.Options{SkipPads: true}
+	spec := specOwnedBy(t, cache.NewRing(farm.URLs()), farm.Workers()[1].URL, opts, 35000)
+	node := farm.Workers()[0].URL
+	if status, cr := postCompile(t, node, desc.Format(spec), "nopads=1"); status != http.StatusOK || cr.Cached {
+		t.Fatalf("cold compile answered %d (cached=%v), want a 200 miss", status, cr.Cached)
+	}
+	if got := scrapeCounter(t, node, "bbd_peer_fetches_total"); got != 1 {
+		t.Errorf("bbd_peer_fetches_total = %v, want 1", got)
+	}
+	if got := scrapeCounter(t, node, "bbd_cache_misses_total"); got != 1 {
+		t.Errorf("bbd_cache_misses_total = %v, want 1", got)
+	}
+}
+
 // TestFarmSlowPeerTimeout points a lookup at a peer that answers after
 // seconds while the tier's budget is tens of milliseconds: the compile
 // must complete fast (local), and the slow fetch must land in

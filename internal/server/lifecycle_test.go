@@ -149,10 +149,6 @@ func TestEndpointOutcomes(t *testing.T) {
 
 	for i, ep := range outcomeEndpoints {
 		batch := ep.name == "batch"
-		var counted int64 = 1
-		if batch {
-			counted = 0
-		}
 		t.Run(ep.name, func(t *testing.T) {
 			t.Run("oversized", func(t *testing.T) {
 				rep := ep.post(t, ts.URL, oversized, "")
@@ -191,7 +187,7 @@ func TestEndpointOutcomes(t *testing.T) {
 				if rep.status != status || !strings.HasPrefix(rep.err, prefix) || rep.err == prefix {
 					t.Fatalf("got %d %q, want %d %q...", rep.status, rep.err, status, prefix)
 				}
-				if d := readOutcomeCounters(s); d != (outcomeCounters{c0.badSpecs, c0.compileErrors + counted, c0.timeouts}) {
+				if d := readOutcomeCounters(s); d != (outcomeCounters{c0.badSpecs, c0.compileErrors + 1, c0.timeouts}) {
 					t.Fatalf("counters %+v -> %+v, want compile_errors +1 only", c0, d)
 				}
 				if rec := newest(t, s, rep); rec.Outcome != flightrec.OutcomeError || rec.Chip != "doomed" || rec.Error == "" {
@@ -208,7 +204,7 @@ func TestEndpointOutcomes(t *testing.T) {
 				if rep.status != status || !strings.HasSuffix(rep.err, want) {
 					t.Fatalf("got %d %q, want %d %q", rep.status, rep.err, status, want)
 				}
-				if d := readOutcomeCounters(late); d != (outcomeCounters{c0.badSpecs, c0.compileErrors, c0.timeouts + counted}) {
+				if d := readOutcomeCounters(late); d != (outcomeCounters{c0.badSpecs, c0.compileErrors, c0.timeouts + 1}) {
 					t.Fatalf("counters %+v -> %+v, want timeouts +1 only", c0, d)
 				}
 				if rec := newest(t, late, rep); rec.Outcome != flightrec.OutcomeTimeout {

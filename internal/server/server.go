@@ -25,7 +25,6 @@ import (
 
 	"bristleblocks/internal/cache"
 	"bristleblocks/internal/core"
-	"bristleblocks/internal/desc"
 	"bristleblocks/internal/invariant"
 	"bristleblocks/internal/obs"
 	"bristleblocks/internal/obs/flightrec"
@@ -156,24 +155,18 @@ type Server struct {
 }
 
 type job struct {
-	ctx  context.Context
-	spec *core.Spec
-	opts *core.Options
-	// verify marks a /verify job: the worker compiles directly (the cache
-	// stores serialized artifacts, not the live chip the grader needs) and
-	// hands the chip back in jobResult.chip.
-	verify bool
+	c      *call
+	verify bool // see call.queue
 	done   chan jobResult
 }
 
 type jobResult struct {
-	res    *cache.Result
-	chip   *core.Chip // verify jobs only
+	res *cache.Result
+	// chip is the cold compile's chip (nil for cache hits and failed
+	// compiles).
+	chip   *core.Chip
 	cached bool
 	err    error
-	// allocs is the cold compile's per-pass allocation attribution (nil
-	// for cache hits and failed compiles).
-	allocs *core.CompileAllocs
 }
 
 // New builds the server and starts its worker pool.
@@ -258,46 +251,42 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for j := range s.jobs {
+		c := j.c
 		// A request that timed out while queued is dropped here rather
 		// than compiled for nobody.
-		if j.ctx.Err() != nil {
-			j.done <- jobResult{err: j.ctx.Err()}
+		if err := c.ctx.Err(); err != nil {
+			j.done <- jobResult{err: err}
 			continue
 		}
 		s.metrics.inFlight.Add(1)
 		if s.cfg.BeforeCompile != nil {
-			s.cfg.BeforeCompile(j.ctx)
-		}
-		// Every cold compile is traced — the spans feed the per-element
-		// histogram whether or not the client asked to see them. The
-		// handler attaches the client's collector when ?trace=1; otherwise
-		// the worker brings its own.
-		ctx := j.ctx
-		tr := trace.FromContext(ctx)
-		if tr == nil {
-			tr = trace.New()
-			ctx = trace.WithTrace(ctx, tr)
+			s.cfg.BeforeCompile(c.ctx)
 		}
 		var out jobResult
-		var chip *core.Chip
 		if j.verify {
 			// Verify jobs need the live chip (its compiled simulator and
 			// element models), which cached results don't carry, so they
 			// compile fresh every time. core.Stats is deterministic at every
 			// Parallelism, so the graded verdict is byte-identical whether
 			// this or any other pool size served the request.
-			chip, out.err = core.CompileCtx(ctx, j.spec, j.opts)
-			out.chip = chip
-		} else {
-			out.res, chip, out.cached, out.err = s.cache.CompileChip(ctx, j.spec, j.opts)
+			out.chip, out.err = core.CompileCtx(c.ctx, c.spec, c.opts)
+		} else if res, ok := s.cache.GetLocal(c.key); ok {
+			// Another worker filled the key during the queue wait. The
+			// handler's lookup was the counted one and asked the peer, so
+			// this re-check reads the local layers only.
+			out = jobResult{res: res, cached: true}
+		} else if out = c.build(c.ctx); out.err == nil {
+			s.cache.Put(c.key, out.res)
 		}
 		s.metrics.inFlight.Add(-1)
 		if out.cached {
 			s.metrics.cacheServed.Add(1)
 		} else if out.err == nil {
-			s.metrics.observeCompile(chip, tr.Spans())
-			out.allocs = &chip.Allocs
-			s.verify(ctx, chip)
+			// Every cold compile is traced, so its spans feed the
+			// per-element histogram whether or not the client asked to
+			// see them.
+			s.metrics.observeCompile(out.chip, c.tr.Spans())
+			s.verify(c.ctx, out.chip)
 		}
 		j.done <- out
 	}
@@ -450,164 +439,55 @@ type CompileResponse struct {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.requests.Add(1)
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a chip description to /compile")
-		return
-	}
-	sw := &statusWriter{ResponseWriter: w}
-	w = sw
-	defer s.observeRequest(sw, start)
-
-	reqID := obs.NewRequestID()
-	w.Header().Set("X-Request-Id", reqID)
-	log := s.logger.With("request_id", reqID)
-
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSpecBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxSpecBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", s.cfg.MaxSpecBytes)
-		return
-	}
-	spec, err := desc.Parse(string(body))
-	if err != nil {
-		s.metrics.badSpecs.Add(1)
-		log.Warn("spec rejected", "err", err)
-		httpError(w, http.StatusBadRequest, "parse spec: %v", err)
-		return
-	}
-	log = log.With("chip", spec.Name)
-	opts, reps, traceMode, err := parseQuery(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts.Parallelism = s.cfg.Parallelism
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	ctx = obs.WithRequestID(ctx, reqID)
-	ctx = obs.WithLogger(ctx, log)
-	// Every request that reaches the compiler is traced — not just the
-	// ones that asked — because the flight recorder keeps the span tree
-	// for post-hoc debugging of requests nobody knew would be interesting.
-	// An inbound W3C traceparent joins the compile onto the caller's
-	// distributed trace; otherwise the daemon mints a fresh one.
-	tr := trace.New()
-	ctx = trace.WithTrace(ctx, tr)
-	link := tr.LinkFromHeader(r.Header.Get("traceparent"))
-
-	// Cache hits are answered on the handler goroutine: a lookup does not
-	// deserve a worker slot, a place in the queue, or a flight record.
-	key := cache.Key(spec, opts)
-	var out jobResult
-	t0 := time.Now()
-	if res, ok := s.cache.Get(key); ok {
-		tr.Lookup(nil, time.Since(t0), true)
-		s.metrics.cacheServed.Add(1)
-		out = jobResult{res: res, cached: true}
-		log.Debug("served from cache", "key", key, "dur", time.Since(start))
-	} else {
-		// A coordinator sends the cold compile to the least-loaded worker
-		// and relays the reply; it compiles locally only when every worker
-		// is unreachable or shedding (routeCompile reports false).
-		if s.coord != nil && s.coord.routeCompile(ctx, w, r, body, log, link) {
+	s.serve(w, r, "POST a chip description to /compile", func(w http.ResponseWriter, c *call) {
+		body, ok := c.readBody(w, s.cfg.MaxSpecBytes, "spec")
+		if !ok {
 			return
 		}
-		j := &job{ctx: ctx, spec: spec, opts: opts, done: make(chan jobResult, 1)}
-		if err := s.submit(j); err != nil {
-			s.metrics.rejected.Add(1)
-			log.Warn("request shed", "err", err, "queue_depth", len(s.jobs))
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+		if err := c.parse(string(body)); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		select {
-		case out = <-j.done:
-		case <-ctx.Done():
-			// The worker (or the queue scan) observes the same context and
-			// abandons the compile; nobody blocks on the buffered done chan.
-			out = jobResult{err: ctx.Err()}
-		}
-		s.recordFlight(flightrec.Record{
-			ID:       reqID,
-			Start:    start,
-			Chip:     spec.Name,
-			SpecHash: key,
-			Options:  fmt.Sprintf("%+v", *opts),
-			DurUS:    time.Since(start).Microseconds(),
-			TraceID:  link.TraceIDString(),
-			Allocs:   flightAllocs(out.allocs),
-			Spans:    tr.Spans(),
-		}, out.err, ctx, r)
-		s.exportTrace(tr)
-	}
-	if out.err != nil {
-		switch {
-		case ctx.Err() != nil && r.Context().Err() == nil:
-			s.metrics.timeouts.Add(1)
-			log.Warn("compile timed out", "key", key, "timeout", s.cfg.Timeout)
-			httpError(w, http.StatusGatewayTimeout, "compile exceeded %v", s.cfg.Timeout)
-		case ctx.Err() != nil:
-			// Client went away; the status is a formality.
-			log.Info("request canceled by client", "key", key)
-			httpError(w, http.StatusRequestTimeout, "request canceled")
-		default:
-			s.metrics.compileErrors.Add(1)
-			log.Warn("compile failed", "key", key, "err", out.err)
-			httpError(w, http.StatusUnprocessableEntity, "compile: %v", out.err)
-		}
-		return
-	}
+		defer c.begin()()
 
-	resp := &CompileResponse{
-		RequestID: reqID,
-		TraceID:   link.TraceIDString(),
-		Chip:      out.res.Chip,
-		Key:       out.res.Key,
-		Cached:    out.cached,
-		Stats:     out.res.Stats,
-		TimesUS:   out.res.TimesUS,
-	}
-	switch traceMode {
-	case traceSpans:
-		resp.Trace = tr.Spans()
-	case traceChrome:
-		var buf bytes.Buffer
-		if err := trace.WriteChrome(&buf, tr.Spans()); err == nil {
-			resp.TraceEvents = json.RawMessage(buf.Bytes())
+		// Cache hits are answered on the handler goroutine: a lookup does
+		// not deserve a worker slot, a place in the queue, or a flight
+		// record.
+		res, cached := c.lookup()
+		if cached {
+			// Guarded so a hit does not pay for a line nobody keeps.
+			if c.log.Enabled(c.ctx, slog.LevelDebug) {
+				c.log.Debug("served from cache", "key", c.key, "dur", time.Since(c.start))
+			}
+		} else {
+			// A coordinator sends the cold compile to the least-loaded
+			// worker and relays its buffered reply verbatim (it is a
+			// CompileResponse, bad-spec and compile errors included); it
+			// compiles locally only when every worker is unreachable or
+			// shedding.
+			if s.coord != nil {
+				if status, data, ok := s.coord.compileRemote(c.ctx, r.URL.RawQuery, body, c.link, c.log); ok {
+					w.Header().Set("Content-Type", "application/json")
+					w.WriteHeader(status)
+					w.Write(data)
+					return
+				}
+			}
+			out, ok := c.queue(w, false)
+			if !ok || !c.finish(w, out, "") {
+				return
+			}
+			if res, cached = out.res, out.cached; !cached {
+				c.log.Info("compiled", "key", res.Key,
+					"transistors", res.Stats.Transistors,
+					"cells", res.Stats.CellsGenerated,
+					"pla_terms", res.Stats.PLATerms,
+					"dur", time.Since(c.start))
+			}
 		}
-	}
-	if !out.cached {
-		log.Info("compiled", "key", out.res.Key,
-			"transistors", out.res.Stats.Transistors,
-			"cells", out.res.Stats.CellsGenerated,
-			"pla_terms", out.res.Stats.PLATerms,
-			"dur", time.Since(start))
-	}
-	writeCompileResponse(w, resp, out.res, reps)
-}
-
-// recordFlight classifies how a compile that reached the worker pool ended
-// and files it in the flight recorder.
-func (s *Server) recordFlight(rec flightrec.Record, compileErr error, ctx context.Context, r *http.Request) {
-	switch {
-	case compileErr == nil:
-		rec.Outcome = flightrec.OutcomeOK
-	case ctx.Err() != nil && r.Context().Err() == nil:
-		rec.Outcome = flightrec.OutcomeTimeout
-		rec.Error = compileErr.Error()
-	case ctx.Err() != nil:
-		rec.Outcome = flightrec.OutcomeCanceled
-		rec.Error = compileErr.Error()
-	default:
-		rec.Outcome = flightrec.OutcomeError
-		rec.Error = compileErr.Error()
-	}
-	s.flight.Add(rec)
+		resp := c.response(res, cached)
+		writeCompileResponse(w, &resp, res, c.reps)
+	})
 }
 
 // traceMode selects what the response carries back from the request's
@@ -622,8 +502,8 @@ const (
 
 // parseQuery reads the option switches, representation list, and trace
 // request from the request URL.
-func parseQuery(r *http.Request) (*core.Options, map[string]bool, traceMode, error) {
-	q := r.URL.Query()
+func (c *call) parseQuery() error {
+	q := c.r.URL.Query()
 	opts := &core.Options{}
 	for name, dst := range map[string]*bool{
 		"nopads":   &opts.SkipPads,
@@ -638,7 +518,7 @@ func parseQuery(r *http.Request) (*core.Options, map[string]bool, traceMode, err
 		case "1", "true":
 			*dst = true
 		default:
-			return nil, nil, traceOff, fmt.Errorf("option %s=%q is not a boolean", name, v)
+			return fmt.Errorf("option %s=%q is not a boolean", name, v)
 		}
 	}
 	mode := traceOff
@@ -649,7 +529,7 @@ func parseQuery(r *http.Request) (*core.Options, map[string]bool, traceMode, err
 	case "chrome":
 		mode = traceChrome
 	default:
-		return nil, nil, traceOff, fmt.Errorf("option trace=%q wants 0, 1, or chrome", v)
+		return fmt.Errorf("option trace=%q wants 0, 1, or chrome", v)
 	}
 	reps := make(map[string]bool)
 	if rq := q.Get("reps"); rq != "" {
@@ -662,11 +542,12 @@ func parseQuery(r *http.Request) (*core.Options, map[string]bool, traceMode, err
 					reps[n] = true
 				}
 			default:
-				return nil, nil, traceOff, fmt.Errorf("unknown representation %q (want cif, sticks, text, block, logical, all)", name)
+				return fmt.Errorf("unknown representation %q (want cif, sticks, text, block, logical, all)", name)
 			}
 		}
 	}
-	return opts, reps, mode, nil
+	c.opts, c.reps, c.mode = opts, reps, mode
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -896,12 +777,13 @@ func (s *Server) observeRequest(sw *statusWriter, start time.Time) {
 	s.slo.Record(sloOutcome(status), d)
 }
 
-// flightAllocs converts the compiler's attribution for the recorder
-// (which must not import the compiler).
-func flightAllocs(a *core.CompileAllocs) *flightrec.Allocs {
-	if a == nil {
+// flightAllocs converts a cold compile's attribution for the recorder
+// (which must not import the compiler); nil for cache hits and failures.
+func flightAllocs(chip *core.Chip) *flightrec.Allocs {
+	if chip == nil {
 		return nil
 	}
+	a := &chip.Allocs
 	conv := func(d core.AllocDelta) flightrec.AllocDelta {
 		return flightrec.AllocDelta{Objects: d.Objects, Bytes: d.Bytes}
 	}
@@ -915,7 +797,7 @@ func flightAllocs(a *core.CompileAllocs) *flightrec.Allocs {
 // the daemon was started with -trace-export. Buffered first so each
 // compile lands as a single Write on the shared file.
 func (s *Server) exportTrace(tr *trace.Trace) {
-	if s.cfg.TraceExport == nil || tr == nil {
+	if s.cfg.TraceExport == nil {
 		return
 	}
 	var buf bytes.Buffer

@@ -102,6 +102,7 @@ func TestDebugVarsReportsCacheHits(t *testing.T) {
 		Compiles int64 `json:"compiles"`
 		Cache    struct {
 			Hits     int64   `json:"hits"`
+			Misses   int64   `json:"misses"`
 			HitRatio float64 `json:"hit_ratio"`
 		} `json:"cache"`
 		LatencyCore struct {
@@ -119,6 +120,11 @@ func TestDebugVarsReportsCacheHits(t *testing.T) {
 	}
 	if vars.LatencyCore.Count != 1 {
 		t.Fatalf("pass-core histogram count = %d, want 1", vars.LatencyCore.Count)
+	}
+	// One lookup per request: the cold compile is one miss, not a miss in
+	// the handler and another in the worker.
+	if vars.Cache.Hits != 2 || vars.Cache.Misses != 1 {
+		t.Fatalf("cache hits=%d misses=%d, want exactly 2/1", vars.Cache.Hits, vars.Cache.Misses)
 	}
 }
 

@@ -1,22 +1,14 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
-	"bristleblocks/internal/cache"
-	"bristleblocks/internal/core"
-	"bristleblocks/internal/desc"
 	"bristleblocks/internal/incr"
 	"bristleblocks/internal/obs"
-	"bristleblocks/internal/obs/flightrec"
-	"bristleblocks/internal/trace"
 )
 
 // The session workload: an interactive client (an editor plugin, a
@@ -220,8 +212,9 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		})
 	case strings.HasSuffix(rest, "/compile"):
 		id := strings.TrimSuffix(rest, "/compile")
+		const usage = "POST a chip description to /session/{id}/compile"
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST a chip description to /session/{id}/compile")
+			httpError(w, http.StatusMethodNotAllowed, usage)
 			return
 		}
 		sess, ok := s.sessions.get(id, time.Now())
@@ -229,7 +222,9 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "no session %q (sessions expire after %v idle)", id, s.sessions.ttl)
 			return
 		}
-		s.handleSessionCompile(w, r, sess)
+		s.serve(w, r, usage, func(w http.ResponseWriter, c *call) {
+			s.sessionCompile(w, c, sess)
+		}, "session_id", sess.id)
 	default:
 		// DELETE /session/{id} — retire.
 		if r.Method != http.MethodDelete {
@@ -245,128 +240,48 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSessionCompile answers one session compile. Unlike /compile, the
-// work runs on the handler goroutine: the warm store makes edits cheap
-// enough that a queue slot would cost more than the compile, and the
-// whole-spec cache is deliberately bypassed (it would hide the store).
-// The compile still honors the daemon timeout and is flight-recorded.
-func (s *Server) handleSessionCompile(w http.ResponseWriter, r *http.Request, sess *session) {
-	start := time.Now()
-	s.metrics.requests.Add(1)
-	sw := &statusWriter{ResponseWriter: w}
-	w = sw
-	defer s.observeRequest(sw, start)
-
-	reqID := obs.NewRequestID()
-	w.Header().Set("X-Request-Id", reqID)
-	log := s.logger.With("request_id", reqID, "session_id", sess.id)
-
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSpecBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+// sessionCompile answers one session compile. Unlike /compile, the work
+// runs on the handler goroutine: the warm store makes edits cheap enough
+// that a queue slot would cost more than the compile, and the whole-spec
+// cache is deliberately bypassed (it would hide the store). The compile
+// still honors the daemon timeout and is flight-recorded.
+func (s *Server) sessionCompile(w http.ResponseWriter, c *call, sess *session) {
+	body, ok := c.readBody(w, s.cfg.MaxSpecBytes, "spec")
+	if !ok {
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxSpecBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", s.cfg.MaxSpecBytes)
-		return
-	}
-	spec, err := desc.Parse(string(body))
-	if err != nil {
-		s.metrics.badSpecs.Add(1)
-		log.Warn("spec rejected", "err", err)
-		httpError(w, http.StatusBadRequest, "parse spec: %v", err)
-		return
-	}
-	log = log.With("chip", spec.Name)
-	opts, reps, traceMode, err := parseQuery(r)
-	if err != nil {
+	if err := c.parse(string(body)); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts.Parallelism = s.cfg.Parallelism
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	ctx = obs.WithRequestID(ctx, reqID)
-	ctx = obs.WithLogger(ctx, log)
-	tr := trace.New()
-	ctx = trace.WithTrace(ctx, tr)
-	link := tr.LinkFromHeader(r.Header.Get("traceparent"))
-	ctx = incr.WithStore(ctx, sess.store)
+	defer c.begin()()
 
 	before := sess.store.Counters()
-	chip, err := core.CompileCtx(ctx, spec, opts)
-	var res *cache.Result
-	if err == nil {
-		res, err = cache.Render(chip)
-	}
+	out := c.build(incr.WithStore(c.ctx, sess.store))
 	after := sess.store.Counters()
 	sess.touch(time.Now())
 	s.metrics.sessionCompiles.Add(1)
-	var allocs *core.CompileAllocs
-	if chip != nil && err == nil {
-		s.metrics.observeAllocs(chip.Allocs)
-		allocs = &chip.Allocs
+	if out.err == nil {
+		s.metrics.observeAllocs(out.chip.Allocs)
 	}
-	s.recordFlight(flightrec.Record{
-		ID:       reqID,
-		Start:    start,
-		Chip:     spec.Name,
-		SpecHash: cache.Key(spec, opts),
-		Options:  fmt.Sprintf("session=%s %+v", sess.id, *opts),
-		DurUS:    time.Since(start).Microseconds(),
-		TraceID:  link.TraceIDString(),
-		Allocs:   flightAllocs(allocs),
-		Spans:    tr.Spans(),
-	}, err, ctx, r)
-	s.exportTrace(tr)
-	if err != nil {
-		switch {
-		case ctx.Err() != nil && r.Context().Err() == nil:
-			s.metrics.timeouts.Add(1)
-			log.Warn("session compile timed out", "timeout", s.cfg.Timeout)
-			httpError(w, http.StatusGatewayTimeout, "compile exceeded %v", s.cfg.Timeout)
-		case ctx.Err() != nil:
-			log.Info("session request canceled by client")
-			httpError(w, http.StatusRequestTimeout, "request canceled")
-		default:
-			s.metrics.compileErrors.Add(1)
-			log.Warn("session compile failed", "err", err)
-			httpError(w, http.StatusUnprocessableEntity, "compile: %v", err)
-		}
+	if !c.finish(w, out, "session="+sess.id+" ") {
 		return
 	}
 
-	resp := &CompileResponse{
-		RequestID: reqID,
-		TraceID:   link.TraceIDString(),
-		Chip:      res.Chip,
-		Key:       cache.Key(spec, opts),
-		Stats:     res.Stats,
-		TimesUS:   res.TimesUS,
-		Incr: &IncrCounters{
-			Hits:          after.Hits - before.Hits,
-			Misses:        after.Misses - before.Misses,
-			Invalidations: after.Invalidations - before.Invalidations,
-			Evictions:     after.Evictions - before.Evictions,
-			Entries:       after.Entries,
-			Bytes:         after.Bytes,
-			HitRatio:      sess.store.HitRatio(),
-		},
+	resp := c.response(out.res, false)
+	resp.Incr = &IncrCounters{
+		Hits:          after.Hits - before.Hits,
+		Misses:        after.Misses - before.Misses,
+		Invalidations: after.Invalidations - before.Invalidations,
+		Evictions:     after.Evictions - before.Evictions,
+		Entries:       after.Entries,
+		Bytes:         after.Bytes,
+		HitRatio:      sess.store.HitRatio(),
 	}
-	switch traceMode {
-	case traceSpans:
-		resp.Trace = tr.Spans()
-	case traceChrome:
-		var buf strings.Builder
-		if err := trace.WriteChrome(&buf, tr.Spans()); err == nil {
-			resp.TraceEvents = json.RawMessage(buf.String())
-		}
-	}
-	log.Info("session compiled",
+	c.log.Info("session compiled",
 		"incr_hits", resp.Incr.Hits,
 		"incr_misses", resp.Incr.Misses,
 		"incr_invalidations", resp.Incr.Invalidations,
-		"dur", time.Since(start))
-	writeCompileResponse(w, resp, res, reps)
+		"dur", time.Since(c.start))
+	writeCompileResponse(w, &resp, out.res, c.reps)
 }
