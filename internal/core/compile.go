@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,6 +177,12 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 	chip := &Chip{Spec: spec, Options: *opts}
 	tr := trace.FromContext(ctx)
 	log := obs.Logger(ctx)
+	// The glue between the allocation brackets below must not allocate:
+	// the runtime counts small allocations when a cached span is refilled,
+	// so a glue allocation can flush counts a pass left pending into the
+	// unattributed remainder. The debug lines box their arguments even
+	// when disabled, so they are built only when debug is on.
+	debug := log.Enabled(ctx, slog.LevelDebug)
 	t0 := time.Now()
 	allocO0, allocB0 := rtm.ReadAllocs()
 
@@ -204,12 +211,14 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 		return nil, fmt.Errorf("core pass: %w", err)
 	}
 	chip.Times.Core = time.Since(t0)
-	log.Debug("core pass complete", "pass", "core",
-		"columns", len(chip.columns),
-		"cells_generated", chip.Stats.CellsGenerated,
-		"bus_breaks", chip.Stats.BusBreaks,
-		"pitch_lambda", geom.InLambda(chip.Stats.Pitch),
-		"dur", chip.Times.Core)
+	if debug {
+		log.Debug("core pass complete", "pass", "core",
+			"columns", len(chip.columns),
+			"cells_generated", chip.Stats.CellsGenerated,
+			"bus_breaks", chip.Stats.BusBreaks,
+			"pitch_lambda", geom.InLambda(chip.Stats.Pitch),
+			"dur", chip.Times.Core)
+	}
 
 	// ---- Pass 2: control design.
 	if err := ctx.Err(); err != nil {
@@ -228,11 +237,13 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 		return nil, fmt.Errorf("control pass: %w", err)
 	}
 	chip.Times.Control = time.Since(t1)
-	log.Debug("control pass complete", "pass", "control",
-		"controls", chip.Stats.Controls,
-		"pla_terms", chip.Stats.PLATerms,
-		"control_joins", chip.Stats.ControlJoins,
-		"dur", chip.Times.Control)
+	if debug {
+		log.Debug("control pass complete", "pass", "control",
+			"controls", chip.Stats.Controls,
+			"pla_terms", chip.Stats.PLATerms,
+			"control_joins", chip.Stats.ControlJoins,
+			"dur", chip.Times.Control)
+	}
 
 	// ---- Pass 3: pad layout.
 	if err := ctx.Err(); err != nil {
@@ -255,11 +266,13 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pad pass: %w", err)
 		}
-		log.Debug("pad pass complete", "pass", "pads",
-			"pads", chip.Stats.PadCount,
-			"pad_requests", chip.Stats.PadRequests,
-			"wire_lambda", geom.InLambda(chip.Stats.WireLen),
-			"dur", time.Since(t2))
+		if debug {
+			log.Debug("pad pass complete", "pass", "pads",
+				"pads", chip.Stats.PadCount,
+				"pad_requests", chip.Stats.PadRequests,
+				"wire_lambda", geom.InLambda(chip.Stats.WireLen),
+				"dur", time.Since(t2))
+		}
 	}
 	chip.Times.Pads = time.Since(t2)
 
@@ -267,17 +280,21 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
+	// fillStats measures the chip's bounding box, whose memo allocates,
+	// so it runs inside the representations bracket (see debug above).
 	if !opts.SkipExtraReps {
 		allocO6, allocB6 := rtm.ReadAllocs()
 		repsSpan := tr.StartSpan(root, "pass.representations", trace.PassReps, trace.Coordinator)
 		chip.buildRepresentations()
+		chip.fillStats()
 		allocO7, allocB7 := rtm.ReadAllocs()
 		chip.Allocs.Reps = AllocDelta{Objects: allocO7 - allocO6, Bytes: allocB7 - allocB6}
 		spanAllocs(repsSpan, chip.Allocs.Reps)
 		repsSpan.End()
+	} else {
+		chip.fillStats()
 	}
 	chip.Times.Total = time.Since(t0)
-	chip.fillStats()
 	allocOEnd, allocBEnd := rtm.ReadAllocs()
 	chip.Allocs.Total = AllocDelta{Objects: allocOEnd - allocO0, Bytes: allocBEnd - allocB0}
 	spanAllocs(root, chip.Allocs.Total)
@@ -287,6 +304,9 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 // spanAllocs tags a pass span with its allocation delta, mirroring the
 // Chip.Allocs fields into the exported trace.
 func spanAllocs(a *trace.Active, d AllocDelta) {
+	if a == nil {
+		return // untraced: format nothing in the glue
+	}
 	a.Attr("allocs", strconv.FormatUint(d.Objects, 10)).
 		Attr("alloc_bytes", strconv.FormatUint(d.Bytes, 10))
 }

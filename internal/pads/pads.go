@@ -236,9 +236,9 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 		winner = int32(n)
 		wg     sync.WaitGroup
 	)
-	runCombo := func(j int) *comboOut {
+	runCombo := func(j int, bufs *routeBufs) *comboOut {
 		out := &comboOut{}
-		out.ring, out.err = buildAttemptStrategy(jctx[j], coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs)
+		out.ring, out.err = buildAttemptStrategy(jctx[j], coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs, bufs)
 		outs[j] = out
 		return out
 	}
@@ -247,9 +247,16 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 	// internal wave speculation. Only a combo-0 failure fans the rest of
 	// the grid out to race — a failure means the ladder is hard, and
 	// overlapping the surviving combos is where racing actually pays.
-	if runCombo(0).err != nil && n > 1 {
+	// Each ladder worker owns one routeBufs for every combo it runs; the
+	// first worker inherits combo 0's.
+	first := &routeBufs{}
+	if runCombo(0, first).err != nil && n > 1 {
 		workers := pool.Size(opts.Parallelism, n-1)
 		for w := 0; w < workers; w++ {
+			bufs := first
+			if w > 0 {
+				bufs = &routeBufs{}
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -258,7 +265,7 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 					if j >= n || int32(j) > atomic.LoadInt32(&winner) {
 						return
 					}
-					out := runCombo(j)
+					out := runCombo(j, bufs)
 					if out.err == nil {
 						for {
 							cur := atomic.LoadInt32(&winner)
@@ -300,10 +307,40 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 
 func buildAttempt(coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord) (*Ring, error) {
 	var rs RouteStats
-	return buildAttemptStrategy(context.Background(), coreBounds, reqs, opts, moat, 0, &rs)
+	return buildAttemptStrategy(context.Background(), coreBounds, reqs, opts, moat, 0, &rs, &routeBufs{})
 }
 
-func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord, strategy int, rs *RouteStats) (*Ring, error) {
+// routeBufs is one ladder worker's routing state: the master grid its
+// attempts route on and the clones its speculation routes on (the first
+// clone searches with the master's scratch, the others with their own).
+// The worker reuses them for every combo and rip-up attempt it runs, and
+// they grow to the largest grid it meets. A routeBufs belongs to exactly
+// one goroutine at a time (its speculation's clones to one pool worker
+// each), so nothing guards it.
+type routeBufs struct {
+	master *route.Router
+	clones []*route.Router
+}
+
+// grid returns the worker's master router re-gridded over region at the
+// routing pitch, allocating it on first use.
+func (b *routeBufs) grid(region geom.Rect) (*route.Router, error) {
+	// 14λ pitch: even a wire pinned to one edge of its cell (off-grid
+	// endpoints) keeps 3λ of metal spacing from a wire centered in the
+	// neighboring cell.
+	pitch := geom.L(14)
+	if b.master == nil {
+		r, err := route.New(region, pitch)
+		if err != nil {
+			return nil, err
+		}
+		b.master = r
+		return r, nil
+	}
+	return b.master, b.master.Reshape(region, pitch)
+}
+
+func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord, strategy int, rs *RouteStats, bufs *routeBufs) (*Ring, error) {
 
 	// Shared nets collapse to one pad each; the extra connection points
 	// are wired to the same pad net afterwards.
@@ -379,10 +416,27 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	band := geom.L(16)
 	var wires []Wire
 	var lastErr error
-	var rcache *route.Router // recycled across the ladder's attempts
-	fails := make(map[int]int)
+	// Every attempt routes from the same setup (setupGrid), so the first
+	// attempt that routes sets the grid up and checkpoints it, and every
+	// later attempt rewinds to the checkpoint instead of redoing the setup.
+	var grid *route.Router
+	routeOrder := func(order []int, rs *RouteStats, speculate bool) ([]Wire, error) {
+		if grid == nil {
+			g, err := bufs.grid(bounds.Inset(-geom.L(4)))
+			if err != nil {
+				return nil, err
+			}
+			setupGrid(g, bounds, coreBounds, band, placements, extra, opts, cutAngle, hasCut)
+			g.Checkpoint()
+			grid = g
+		} else {
+			grid.Reset()
+		}
+		return routeAll(ctx, grid, bounds, coreBounds, band, placements, order, extra, opts, rs, bufs, speculate)
+	}
+	fails := make([]int, len(placements)) // rip-up count per placement
 	order := baseOrder
-	rng := rand.New(rand.NewSource(int64(strategy)*7919 + 17))
+	var rng *rand.Rand // seeded on its first shuffle: most ladders never shuffle
 	// Rip-up memo. A serial attempt starts from the same grid every time
 	// and stops at its first failing unit, so its outcome — error and
 	// stats alike — is a function of order[:pos+1] alone. An order that
@@ -400,13 +454,13 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 		// the retries run serially (attempt numbers are deterministic, so
 		// this costs nothing in parallelism-invariance).
 		if attempt == 0 {
-			wires, lastErr = routeAll(ctx, bounds, coreBounds, band, placements, order, extra, opts, cutAngle, hasCut, rs, &rcache, true)
+			wires, lastErr = routeOrder(order, rs, true)
 		} else if f := replayFailure(memo, order); f != nil {
 			rs.merge(f.rs)
 			lastErr = f.err
 		} else {
 			var ars RouteStats
-			wires, lastErr = routeAll(ctx, bounds, coreBounds, band, placements, order, extra, opts, cutAngle, hasCut, &ars, &rcache, false)
+			wires, lastErr = routeOrder(order, &ars, false)
 			rs.merge(ars)
 			if re, ok := lastErr.(*routeErr); ok {
 				memo = append(memo, failedPrefix{order[:re.pos+1], lastErr, ars})
@@ -423,6 +477,9 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 			fails[fi]++
 			order = append([]int(nil), baseOrder...)
 			if attempt%2 == 1 {
+				if rng == nil {
+					rng = rand.New(rand.NewSource(int64(strategy)*7919 + 17))
+				}
 				rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 			}
 			sort.SliceStable(order, func(a, b int) bool {
@@ -462,54 +519,16 @@ type routeErr struct {
 
 func (e *routeErr) Error() string { return e.err.Error() }
 
-// routeAll routes every wire in the given order over a fresh router.
-//
-// The serial contract is the spec: conceptually each unit (one placement
-// and all its branch targets) routes in `order` against the grid state its
-// predecessors left behind. The implementation speculates: after the
-// static setup every unit routes concurrently against a Clone of that
-// common snapshot while recording its read/write Footprint, then the
-// commit loop walks `order` and, per unit, either proves the speculative
-// result is exactly what the serial order would have produced (no read of
-// a free cell was invalidated by an earlier commit, no committed foreign
-// segment entered the region the unit geometry-checked) and replays its
-// writes — or discards it and re-routes the unit serially on the live
-// grid, which is the seed code path. Ownership is monotone during the
-// phase (cells only go free→owned), so rejections can never be
-// invalidated, only acceptances — that is what makes read-validation
-// sufficient. A conflict budget degrades the whole tail to the seed
-// serial order on pathological specs. Output is therefore byte-identical
-// to the serial router at every Parallelism, and because the speculation
-// itself also runs at every Parallelism (a single worker drains it
-// serially), the conflict/retry counters are deterministic too.
-func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, order []int, extra map[string][]Request, opts *Options, cutAngle float64, hasCut bool, rs *RouteStats, rcache **route.Router, speculate bool) ([]Wire, error) {
-	extraObstacles := opts.Obstacles
-	maxD := bounds.W()
-	if bounds.H() > maxD {
-		maxD = bounds.H()
-	}
-	// 14λ pitch: even a wire pinned to one edge of its cell (off-grid
-	// endpoints) keeps 3λ of metal spacing from a wire centered in the
-	// neighboring cell. The router is recycled across the ladder's
-	// attempts (same bounds every time).
-	router := *rcache
-	if router != nil {
-		router.Reset()
-	} else {
-		var err error
-		router, err = route.New(bounds.Inset(-geom.L(4)), geom.L(14))
-		if err != nil {
-			return nil, err
-		}
-		router.EnableJournal()
-		*rcache = router
-	}
+// setupGrid blocks the static obstacles of one placement on an all-free
+// router and pre-claims every connection point's entry corridor. Nothing
+// here depends on the routing order, so a ladder runs it once per combo.
+func setupGrid(router *route.Router, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, extra map[string][]Request, opts *Options, cutAngle float64, hasCut bool) {
 	// The core plus a reserved band around it is an obstacle: routed wires
 	// stay out of the band, and each connection point is reached by a
 	// straight perpendicular leg crossing it, so wires cannot seal off a
 	// connection point.
-	if len(extraObstacles) > 0 {
-		for _, ob := range extraObstacles {
+	if len(opts.Obstacles) > 0 {
+		for _, ob := range opts.Obstacles {
 			router.Block(ob.Inset(-band), "core!")
 		}
 	} else {
@@ -575,6 +594,34 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 			router.Claim(cor, p.req.Net)
 		}
 	}
+}
+
+// routeAll routes every wire in the given order over router, which holds
+// the placement's setup (setupGrid) and nothing else.
+//
+// The serial contract is the spec: conceptually each unit (one placement
+// and all its branch targets) routes in `order` against the grid state its
+// predecessors left behind. The implementation speculates: after the
+// static setup every unit routes concurrently against a Clone of that
+// common snapshot while recording its read/write Footprint, then the
+// commit loop walks `order` and, per unit, either proves the speculative
+// result is exactly what the serial order would have produced (no read of
+// a free cell was invalidated by an earlier commit, no committed foreign
+// segment entered the region the unit geometry-checked) and replays its
+// writes — or discards it and re-routes the unit serially on the live
+// grid, which is the seed code path. Ownership is monotone during the
+// phase (cells only go free→owned), so rejections can never be
+// invalidated, only acceptances — that is what makes read-validation
+// sufficient. A conflict budget degrades the whole tail to the seed
+// serial order on pathological specs. Output is therefore byte-identical
+// to the serial router at every Parallelism, and because the speculation
+// itself also runs at every Parallelism (a single worker drains it
+// serially), the conflict/retry counters are deterministic too.
+func routeAll(ctx context.Context, router *route.Router, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, order []int, extra map[string][]Request, opts *Options, rs *RouteStats, bufs *routeBufs, speculate bool) ([]Wire, error) {
+	maxD := bounds.W()
+	if bounds.H() > maxD {
+		maxD = bounds.H()
+	}
 
 	// ---- Speculative fan-out in waves.
 	//
@@ -634,11 +681,14 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 	if lim := 2 * runtime.GOMAXPROCS(0); specWidth > lim {
 		specWidth = lim
 	}
-	// Per-worker clone buffers, reused wave to wave: a speculative unit
-	// costs one owner-grid memcpy instead of a full router allocation
-	// (owner grid, name tables, search scratch — the allocator dominated
-	// the parallel arm before this).
-	clones := make([]*route.Router, specWidth)
+	// Per-worker clones, reused wave to wave and across the ladder worker's
+	// attempts and combos: a speculative unit costs one owner-grid memcpy
+	// instead of a full router allocation (owner grid, name tables, search
+	// scratch — the allocator dominated the parallel arm before this).
+	for len(bufs.clones) < specWidth {
+		bufs.clones = append(bufs.clones, nil)
+	}
+	clones := bufs.clones
 	for base := 0; base < len(order); base += routeWave {
 		lim := base + routeWave
 		if lim > len(order) {
@@ -646,8 +696,7 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 		}
 		outs := make([]*unitOut, lim-base)
 		snapSeq := master.Seq()
-		// Full-slice so concurrent appends by clones cannot share backing.
-		snapSegs := segments[:len(segments):len(segments)]
+		snapSegs := segments // read-only while the wave speculates
 		if speculate && !fellBack {
 			// Returning the unit's own routing error stops dispatch past
 			// the first failure — the commit loop re-routes the failed unit
@@ -668,11 +717,16 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 				span := tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, worker)
 				out := &unitOut{}
 				clone := master.CloneInto(clones[worker])
+				if worker == 0 {
+					// The master is idle while its clones route: the
+					// first worker searches with its scratch.
+					clone.ShareScratch(master)
+				}
 				clones[worker] = clone
 				clone.SetRecorder(&out.fp)
-				u := &unitCtx{router: clone, segs: snapSegs}
+				u := &unitCtx{router: clone, base: snapSegs}
 				out.wires, out.err = routeUnit(u, p, extra, coreBounds, band, maxD)
-				out.segs = u.segs[len(snapSegs):]
+				out.segs = u.segs
 				out.stats = clone.Stats()
 				span.Attr("net", p.req.Net).
 					Attr("cells_expanded", strconv.FormatInt(out.stats.CellsExpanded, 10)).
@@ -723,7 +777,7 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 						for s := 0; s+1 < len(w.Path); s++ {
 							r := geom.R(w.Path[s].X, w.Path[s].Y, w.Path[s+1].X, w.Path[s+1].Y).Inset(-geom.L(5))
 							for _, sg := range segments[len(snapSegs):] {
-								if sg.net != p.req.Net && sg.r.Overlaps(r) {
+								if sg.r.Overlaps(r) && sg.net != p.req.Net {
 									conflict = true
 									break recheck
 								}
@@ -778,10 +832,14 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 }
 
 // unitCtx is the state one routing unit works against: a router (the live
-// master on the serial path, a private Clone during speculation) and the
-// drawn-segment list it reads for geometry checks and appends to.
+// master on the serial path, a private Clone during speculation), the
+// segments drawn before it that it only reads, and the segment list it
+// appends its own to. A speculative unit reads its wave's snapshot as
+// base and draws into a list of its own, so the wave's units share one
+// snapshot without copying it; the serial path appends to the live list.
 type unitCtx struct {
 	router *route.Router
+	base   []netSeg
 	segs   []netSeg
 }
 
@@ -789,10 +847,14 @@ type unitCtx struct {
 // A speculative unit sees only the segments that existed at its snapshot
 // (none, for Pass 3's fan-out); the commit loop re-applies this gate to
 // the unit's final wire geometry against every segment committed since.
+// Overlap is tested first: it is the rare outcome, and it spares most
+// segments the net-name comparison.
 func (u *unitCtx) foreignSegClash(net string, r geom.Rect) bool {
-	for _, s := range u.segs {
-		if s.net != net && s.r.Overlaps(r) {
-			return true
+	for _, segs := range [2][]netSeg{u.base, u.segs} {
+		for _, s := range segs {
+			if s.r.Overlaps(r) && s.net != net {
+				return true
+			}
 		}
 	}
 	return false
@@ -804,10 +866,11 @@ func (u *unitCtx) foreignSegClash(net string, r geom.Rect) bool {
 // speculation and the serial path share every decision.
 func routeUnit(u *unitCtx, p placed, extra map[string][]Request, coreBounds geom.Rect, band, maxD geom.Coord) ([]Wire, error) {
 	var wires []Wire
-	targets := append([]Request{p.req}, extra[p.req.Net]...)
-	for bi, tgt := range targets {
-		from := p.s.stub
+	branches := extra[p.req.Net]
+	for bi := 0; bi <= len(branches); bi++ {
+		tgt, from := p.req, p.s.stub
 		if bi > 0 {
+			tgt = branches[bi-1]
 			// Branch a multi-terminal net from the nearest point of
 			// its existing trunk, so branches share geometry instead
 			// of running sub-spacing parallels.
@@ -1050,19 +1113,21 @@ func noShortJogs(pts []geom.Point, net string, u *unitCtx) []geom.Point {
 	return pts
 }
 
-// canonPath removes duplicate points and merges collinear neighbors.
+// canonPath removes duplicate points and merges collinear neighbors, in
+// place: it returns a prefix of pts.
 func canonPath(pts []geom.Point) []geom.Point {
 	if len(pts) == 0 {
 		return pts
 	}
-	out := []geom.Point{pts[0]}
+	// Both passes write at or behind the point they read.
+	out := pts[:1]
 	for _, p := range pts[1:] {
 		if p != out[len(out)-1] {
 			out = append(out, p)
 		}
 	}
 	pts = out
-	out = []geom.Point{pts[0]}
+	out = pts[:1]
 	for i := 1; i < len(pts); i++ {
 		if i+1 < len(pts) && collinear(out[len(out)-1], pts[i], pts[i+1]) {
 			continue

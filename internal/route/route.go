@@ -20,6 +20,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 
 	"bristleblocks/internal/geom"
 )
@@ -92,7 +93,9 @@ type Router struct {
 
 	rec *Footprint // nil when not recording
 
-	sc *scratch // reusable search buffers, allocated on first Route
+	base []netID // ownership at the last Checkpoint; empty when none
+
+	sc *scratch // search buffers: allocated on first Route, or shared (ShareScratch)
 
 	stats SearchStats
 }
@@ -101,32 +104,77 @@ type Router struct {
 // pitch should be at least wire width + spacing (8λ for 4λ metal at 3λ
 // spacing, rounded up for margin).
 func New(region geom.Rect, pitch geom.Coord) (*Router, error) {
+	r := &Router{
+		names: []string{""},
+		ids:   map[string]netID{"": freeCell},
+	}
+	if err := r.Reshape(region, pitch); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reshape re-grids the router over region at pitch: an all-free grid, as
+// New would build, that keeps the router's allocations — owner and
+// journal arrays, search scratch, interned net names — and grows them
+// when the new grid is larger. A Pass 3 ladder worker routes combos of
+// several moat widths on one router this way. It drops the checkpoint.
+func (r *Router) Reshape(region geom.Rect, pitch geom.Coord) error {
 	if pitch <= 0 {
-		return nil, fmt.Errorf("route: non-positive pitch %d", pitch)
+		return fmt.Errorf("route: non-positive pitch %d", pitch)
 	}
 	if region.Empty() {
-		return nil, fmt.Errorf("route: empty region")
+		return fmt.Errorf("route: empty region")
 	}
 	nx := int((region.W() + pitch - 1) / pitch)
 	ny := int((region.H() + pitch - 1) / pitch)
-	return &Router{
-		region: region,
-		pitch:  pitch,
-		nx:     nx,
-		ny:     ny,
-		owner:  make([]netID, nx*ny),
-		names:  []string{""},
-		ids:    map[string]netID{"": freeCell},
-	}, nil
+	if nx > math.MaxInt32 || ny > math.MaxInt32 || nx*ny > math.MaxInt32 {
+		// The search indexes cells and carries coordinates as int32.
+		return fmt.Errorf("route: %dx%d grid exceeds %d cells", nx, ny, math.MaxInt32)
+	}
+	r.region, r.pitch, r.nx, r.ny = region, pitch, nx, ny
+	n := nx * ny
+	r.owner = resize(r.owner, n)
+	if r.journal != nil {
+		r.journal = resize(r.journal, n)
+	}
+	r.base = r.base[:0]
+	r.Reset()
+	return nil
 }
 
-// Reset returns the router to an all-free grid, keeping its allocations —
-// owner and journal arrays, search scratch, interned net names — for the
-// next attempt. A rip-up ladder re-routes the same placement dozens of
-// times; rebuilding the router each attempt made the allocator, not the
-// search, the bottleneck.
+// resize returns s at length n with every element zero, reusing its
+// backing array when it is large enough and at least doubling it when it
+// is not, so a ladder widening its moat row by row regrows it only a few
+// times.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Checkpoint records the grid's current ownership as the state Reset
+// returns to. A rip-up ladder routes every attempt of one placement from
+// the same blocked setup, so it sets the grid up once, checkpoints it, and
+// rewinds to it instead of re-running the setup.
+func (r *Router) Checkpoint() {
+	r.base = append(r.base[:0], r.owner...)
+}
+
+// Reset returns the router to its last Checkpoint — an all-free grid when
+// it has none — with an empty journal and zeroed statistics, keeping its
+// allocations for the next attempt. A rip-up ladder re-routes the same
+// placement dozens of times; rebuilding the router each attempt made the
+// allocator, not the search, the bottleneck.
 func (r *Router) Reset() {
-	clear(r.owner)
+	if len(r.base) == len(r.owner) {
+		copy(r.owner, r.base)
+	} else {
+		clear(r.owner)
+	}
 	clear(r.journal)
 	r.seq = 0
 	r.stats = SearchStats{}
@@ -152,30 +200,20 @@ func (r *Router) AddStats(s SearchStats) { r.stats.Add(s) }
 // name tables are shared copy-on-write — a clone routing an already-known
 // net (the usual case; its terminals were claimed on the master) never
 // touches them.
-func (r *Router) Clone() *Router {
-	return &Router{
-		region: r.region,
-		pitch:  r.pitch,
-		nx:     r.nx,
-		ny:     r.ny,
-		owner:  append([]netID(nil), r.owner...),
-		names:  r.names,
-		ids:    r.ids,
-		shared: true,
-	}
-}
+func (r *Router) Clone() *Router { return r.CloneInto(nil) }
 
 // CloneInto is Clone reusing dst's buffers — owner array and search
-// scratch — so a worker that routes many speculative units allocates one
-// clone, not one per unit. dst must be a previous CloneInto/Clone result
-// (never a journaling master); a nil or grid-mismatched dst falls back to
-// a fresh Clone.
+// scratch, grown when r's grid is larger — so a worker that routes many
+// speculative units allocates one clone, not one per unit. dst must be a
+// previous CloneInto/Clone result (never a journaling master); a nil dst
+// gets a fresh Clone.
 func (r *Router) CloneInto(dst *Router) *Router {
-	if dst == nil || dst.nx != r.nx || dst.ny != r.ny || dst.journal != nil {
-		return r.Clone()
+	if dst == nil || dst.journal != nil {
+		dst = &Router{}
 	}
 	dst.region, dst.pitch = r.region, r.pitch
-	copy(dst.owner, r.owner)
+	dst.nx, dst.ny = r.nx, r.ny
+	dst.owner = append(dst.owner[:0], r.owner...)
 	dst.names = r.names
 	dst.ids = r.ids
 	dst.shared = true
@@ -198,7 +236,7 @@ func (r *Router) SetRecorder(fp *Footprint) { r.rec = fp }
 // point s?".
 func (r *Router) EnableJournal() {
 	if r.journal == nil {
-		r.journal = make([]int32, r.nx*r.ny)
+		r.journal = make([]int32, len(r.owner))
 	}
 }
 

@@ -128,6 +128,9 @@ func TestRouterValidation(t *testing.T) {
 	if _, err := New(geom.Rect{}, 8); err == nil {
 		t.Error("empty region should fail")
 	}
+	if _, err := New(geom.R(0, 0, 1<<20, 1<<20), 1); err == nil {
+		t.Error("a grid past int32 cell indices should fail")
+	}
 	r := mustRouter(t, geom.R(0, 0, 100, 100), 10)
 	if _, err := r.Route("", geom.Pt(5, 5), geom.Pt(95, 95)); err == nil {
 		t.Error("empty net name should fail")

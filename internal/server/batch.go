@@ -134,7 +134,9 @@ func (s *Server) batchItem(batch *call, index int, specText string) BatchItem {
 		item.Error = fmt.Sprintf("spec exceeds %d bytes", s.cfg.MaxSpecBytes)
 		return item
 	}
-	c := s.newCall(batch.r, time.Now(), batch.log, "batch_index", index)
+	// The item logs under its own request_id; batch_id ties it to the
+	// batch's, which the batch call's own logger already carries.
+	c := s.newCall(batch.r, time.Now(), s.logger, "batch_id", batch.id, "batch_index", index)
 	if err := c.parseSpec(specText); err != nil {
 		item.Error = err.Error()
 		return item

@@ -347,6 +347,87 @@ func TestStructuredLogsCarryRequestID(t *testing.T) {
 	}
 }
 
+// TestBatchItemLogsCarryOneRequestID: a batch item logs under exactly one
+// request_id, its own (the id of its flight record), plus batch_id naming
+// the batch's X-Request-Id and its batch_index. Keys are read from the
+// raw JSON line, so a duplicated attribute cannot hide behind a map.
+func TestBatchItemLogsCarryOneRequestID(t *testing.T) {
+	var buf bytes.Buffer
+	var mu syncWriter
+	mu.w = &buf
+	logger := slog.New(slog.NewJSONHandler(&mu, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, ts := newTestServer(t, Config{Logger: logger})
+
+	body, err := json.Marshal(BatchRequest{Specs: []string{specText(1), specText(2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/compile/batch?nopads=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	batchID := resp.Header.Get("X-Request-Id")
+	if resp.StatusCode != http.StatusOK || batchID == "" {
+		t.Fatalf("batch status %d, X-Request-Id %q", resp.StatusCode, batchID)
+	}
+
+	recorded := map[string]bool{}
+	for _, rec := range s.flight.Records() {
+		recorded[rec.ID] = true
+	}
+	items := map[float64]string{} // batch_index -> request_id
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		attrs := logAttrs(t, line)
+		if _, ok := attrs["batch_index"]; !ok {
+			continue
+		}
+		ids := attrs["request_id"]
+		if len(ids) != 1 {
+			t.Fatalf("batch item line carries %d request_id attributes: %s", len(ids), line)
+		}
+		id, _ := ids[0].(string)
+		if !recorded[id] {
+			t.Fatalf("item request_id %q is no flight record's ID (recorded %v): %s", id, recorded, line)
+		}
+		if b := attrs["batch_id"]; len(b) != 1 || b[0] != batchID {
+			t.Fatalf("batch_id %v, want [%s]: %s", b, batchID, line)
+		}
+		idx, _ := attrs["batch_index"][0].(float64)
+		if prev, ok := items[idx]; ok && prev != id {
+			t.Fatalf("batch_index %v logged under two request ids, %s and %s", idx, prev, id)
+		}
+		items[idx] = id
+	}
+	if len(items) != 2 || items[0] == items[1] {
+		t.Fatalf("item log lines by batch_index: %v; want two items with distinct ids\n%s", items, buf.String())
+	}
+}
+
+// logAttrs returns every top-level attribute of one JSON log line, each
+// key with all the values it appeared with, in order.
+func logAttrs(t *testing.T, line string) map[string][]any {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("log line %q is not a JSON object", line)
+	}
+	attrs := map[string][]any{}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		attrs[key.(string)] = append(attrs[key.(string)], v)
+	}
+	return attrs
+}
+
 // syncWriter serializes writes from concurrent handler goroutines.
 type syncWriter struct {
 	mu sync.Mutex

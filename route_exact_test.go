@@ -60,11 +60,16 @@ func TestPass3RejectionsPinned(t *testing.T) {
 		{851, "pad pass: pads: no free approach to io5 at (0,1244)"},
 		{2267, "pad pass: pads: no free approach to io1 at (0,292)"},
 	}
+	// -j 1 runs the whole ladder on one worker's reused routing buffers;
+	// -j 2 and -j 4 race the combos after combo 0 fails, each ladder
+	// worker on buffers of its own.
 	for _, p := range pins {
 		spec := specgen.FromSeed(p.seed, &specgen.Config{ForPads: true})
-		_, err := bristleblocks.Compile(spec, &bristleblocks.Options{Parallelism: 2})
-		if err == nil || err.Error() != p.err {
-			t.Errorf("seed %d: error %v, want %q", p.seed, err, p.err)
+		for _, par := range []int{1, 2, 4} {
+			_, err := bristleblocks.Compile(spec, &bristleblocks.Options{Parallelism: par})
+			if err == nil || err.Error() != p.err {
+				t.Errorf("seed %d -j %d: error %v, want %q", p.seed, par, err, p.err)
+			}
 		}
 	}
 }
