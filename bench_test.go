@@ -289,7 +289,7 @@ func benchRoutePass(b *testing.B, parallelism int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			padsUS += chip.Times.Pads.Microseconds()
+			padsUS += chip.Phases[trace.PhasePads].Dur.Microseconds()
 		}
 	}
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
@@ -302,7 +302,7 @@ func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1) }
 // BenchmarkRoutePassRejected is Pass 3 at -j 1 over ForPads specs it
 // rejects: the cost of running the whole (moat, strategy) rip-up ladder to
 // exhaustion. pads-ms sums the pass.pads span of each failed compile (the
-// chip is never returned, so Chip.Times is not available).
+// chip is never returned, so Chip.Phases is not available).
 func BenchmarkRoutePassRejected(b *testing.B) {
 	var specs []*core.Spec
 	for _, seed := range []int64{18, 851, 2267} {
@@ -358,7 +358,7 @@ func BenchmarkControlPass(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					plaUS += chip.Times.Control.Microseconds()
+					plaUS += chip.Phases[trace.PhaseControl].Dur.Microseconds()
 				}
 			}
 			b.ReportMetric(float64(plaUS)/1e3, "pla-ms")

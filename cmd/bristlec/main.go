@@ -184,8 +184,9 @@ func main() {
 		fmt.Printf("  chip    %dλ x %dλ (%.0f square lambda)\n",
 			st.ChipBounds.W()/4, st.ChipBounds.H()/4, bristleblocks.AreaLambda(chip))
 		fmt.Printf("  controls %d, PLA terms %d, power %d µA\n", st.Controls, st.PLATerms, st.PowerUA)
+		ph := &chip.Phases
 		fmt.Printf("  passes  core %s, control %s, pads %s (total %s)\n",
-			chip.Times.Core, chip.Times.Control, chip.Times.Pads, chip.Times.Total)
+			ph[trace.PhaseCore].Dur, ph[trace.PhaseControl].Dur, ph[trace.PhasePads].Dur, ph[trace.PhaseTotal].Dur)
 	}
 
 	if *check {
@@ -392,13 +393,11 @@ func runWatch(w io.Writer, in, cifPath string, opts *bristleblocks.Options, inte
 			continue
 		}
 		before := store.Counters()
-		start := time.Now()
 		chip, err := bristleblocks.CompileCtx(ctx, spec, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bristlec: compile %s: %v\n", spec.Name, err)
 			continue
 		}
-		elapsed := time.Since(start)
 		f, err := os.Create(cifPath)
 		if err != nil {
 			return err
@@ -420,7 +419,7 @@ func runWatch(w io.Writer, in, cifPath string, opts *bristleblocks.Options, inte
 		compiles++
 		fmt.Fprintf(w, "%s: %d transistors, %d columns, %d pads -> %s (%s, %d/%d artifact hits, ratio %.2f)\n",
 			spec.Name, chip.Stats.Transistors, chip.Stats.Columns, chip.Stats.PadCount,
-			cifPath, elapsed.Round(time.Microsecond), hits, hits+misses, ratio)
+			cifPath, chip.Phases[trace.PhaseTotal].Dur.Round(time.Microsecond), hits, hits+misses, ratio)
 		if maxCompiles > 0 && compiles >= maxCompiles {
 			return nil
 		}

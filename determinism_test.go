@@ -55,7 +55,7 @@ func renderOutputs(t testing.TB, spec *bristleblocks.Spec, parallelism int) (str
 	if err := bristleblocks.WriteCIF(&cif, chip); err != nil {
 		t.Fatal(err)
 	}
-	// The report excludes Times (wall-clock is never deterministic) but
+	// The report excludes Phases (wall-clock is never deterministic) but
 	// covers every derived statistic, so a pitch or placement divergence
 	// shows up even if it happens not to move a mask byte.
 	report := fmt.Sprintf("stats: %+v\ncolumns: %v\n", chip.Stats, chip.Columns())

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"bristleblocks"
+	"bristleblocks/internal/trace"
 )
 
 const description = `
@@ -37,8 +38,9 @@ func main() {
 		log.Fatalf("compile: %v", err)
 	}
 
-	fmt.Printf("compiled %s in %v (core %v, control %v, pads %v)\n",
-		spec.Name, chip.Times.Total, chip.Times.Core, chip.Times.Control, chip.Times.Pads)
+	ph := &chip.Phases
+	fmt.Printf("compiled %s in %v (core %v, control %v, pads %v)\n", spec.Name,
+		ph[trace.PhaseTotal].Dur, ph[trace.PhaseCore].Dur, ph[trace.PhaseControl].Dur, ph[trace.PhasePads].Dur)
 	fmt.Printf("  core columns: %d   pitch: %.1fλ\n", chip.Stats.Columns, float64(chip.Stats.Pitch)/4)
 	fmt.Printf("  transistors:  %d   pads: %d   PLA terms: %d\n",
 		chip.Stats.Transistors, chip.Stats.PadCount, chip.Stats.PLATerms)

@@ -154,14 +154,20 @@ func (c *Cache) Get(key string) (*Result, bool) {
 }
 
 // GetCtx is Get bounded by ctx; only the peer hop observes the context
-// (local layers are synchronous memory and disk reads).
-func (c *Cache) GetCtx(ctx context.Context, key string) (*Result, bool) {
-	if res, ok := c.GetLocal(key); ok {
+// (local layers are synchronous memory and disk reads). A trace.Trace on
+// the context records the lookup as a cache.lookup span, with its hit or
+// miss outcome, under the context's current span; without one, nothing
+// is timed.
+func (c *Cache) GetCtx(ctx context.Context, key string) (res *Result, ok bool) {
+	if tr := trace.FromContext(ctx); tr != nil {
+		defer func(t0 time.Time) { tr.Lookup(trace.SpanFromContext(ctx), time.Since(t0), ok) }(time.Now())
+	}
+	if res, ok = c.GetLocal(key); ok {
 		c.hits.Add(1)
 		return res, true
 	}
 	if c.peers != nil {
-		if res, ok := c.peers.Fetch(ctx, key); ok {
+		if res, ok = c.peers.Fetch(ctx, key); ok {
 			c.hits.Add(1)
 			c.peerHits.Add(1)
 			c.insert(key, res)
@@ -267,14 +273,10 @@ func (c *Cache) HitRatio() float64 {
 // three passes are skipped entirely; on a miss it runs core.CompileCtx,
 // renders the storable representations, and fills both layers. The bool
 // reports whether the result came from the cache. A trace.Trace on the
-// context records the lookup (with its hit/miss outcome) ahead of any
-// compile spans.
+// context records the lookup (see GetCtx) ahead of any compile spans.
 func (c *Cache) Compile(ctx context.Context, spec *core.Spec, opts *core.Options) (*Result, bool, error) {
-	tr := trace.FromContext(ctx)
 	key := Key(spec, opts)
-	t0 := time.Now()
 	res, ok := c.GetCtx(ctx, key)
-	tr.Lookup(trace.SpanFromContext(ctx), time.Since(t0), ok)
 	if ok {
 		return res, true, nil
 	}

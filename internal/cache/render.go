@@ -3,16 +3,19 @@ package cache
 import (
 	"bristleblocks/internal/cif"
 	"bristleblocks/internal/core"
+	"bristleblocks/internal/trace"
 )
 
 // Render turns a compiled chip into the storable Result: CIF at the spec's
 // physical lambda plus the sticks, text, block, and logical
-// representations. The mask hierarchy itself is not stored — CIF is the
-// canonical serialized form of the Layout representation; the sticks
-// diagram is rendered at the invariant harness's 16λ scale so daemon
-// responses and differential baselines are comparable bytes. The CIF is
-// stored as an exact-length copy: cif.Append reserves from an estimate,
-// and a cached entry should hold (and be charged for) only its bytes.
+// representations, and the per-pass times of the chip's phase record (the
+// readings its pass spans carry). The mask hierarchy itself is not
+// stored — CIF is the canonical serialized form of the Layout
+// representation; the sticks diagram is rendered at the invariant
+// harness's 16λ scale so daemon responses and differential baselines are
+// comparable bytes. The CIF is stored as an exact-length copy: cif.Append
+// reserves from an estimate, and a cached entry should hold (and be
+// charged for) only its bytes.
 func Render(chip *core.Chip) (*Result, error) {
 	lambda := chip.Spec.LambdaCentimicrons
 	if lambda <= 0 {
@@ -24,6 +27,7 @@ func Render(chip *core.Chip) (*Result, error) {
 	}
 	text := make([]byte, len(buf))
 	copy(text, buf)
+	ph := &chip.Phases
 	sticks := ""
 	if chip.Sticks != nil {
 		sticks = chip.Sticks.Render(16)
@@ -33,10 +37,10 @@ func Render(chip *core.Chip) (*Result, error) {
 		Sticks: sticks,
 		Stats:  chip.Stats,
 		TimesUS: TimesUS{
-			Core:    chip.Times.Core.Microseconds(),
-			Control: chip.Times.Control.Microseconds(),
-			Pads:    chip.Times.Pads.Microseconds(),
-			Total:   chip.Times.Total.Microseconds(),
+			Core:    ph[trace.PhaseCore].Dur.Microseconds(),
+			Control: ph[trace.PhaseControl].Dur.Microseconds(),
+			Pads:    ph[trace.PhasePads].Dur.Microseconds(),
+			Total:   ph[trace.PhaseTotal].Dur.Microseconds(),
 		},
 		CIF:     text,
 		Text:    chip.Text,

@@ -7,6 +7,7 @@ import (
 
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/desc"
+	"bristleblocks/internal/trace"
 )
 
 // TestAllocAttribution compiles the example chips solo and checks that
@@ -33,25 +34,29 @@ func TestAllocAttribution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := chip.Allocs
-			if a.Total.Objects == 0 || a.Total.Bytes == 0 {
-				t.Fatalf("no total alloc delta recorded: %+v", a)
+			total := chip.Phases[trace.PhaseTotal]
+			if total.Objects == 0 || total.Bytes == 0 {
+				t.Fatalf("no total alloc delta recorded: %+v", chip.Phases)
 			}
-			if a.Core.Objects == 0 {
+			if chip.Phases[trace.PhaseCore].Objects == 0 {
 				t.Error("core pass recorded zero allocations")
 			}
-			att := a.Attributed()
-			if att.Objects > a.Total.Objects || att.Bytes > a.Total.Bytes {
-				t.Errorf("attributed %+v exceeds total %+v", att, a.Total)
+			var att trace.Measure // every pass, the glue excluded
+			for _, m := range chip.Phases[:trace.PhaseTotal] {
+				att.Objects += m.Objects
+				att.Bytes += m.Bytes
+			}
+			if att.Objects > total.Objects || att.Bytes > total.Bytes {
+				t.Errorf("attributed %+v exceeds total %+v", att, total)
 			}
 			// ≥ 90% of the compile's allocations must land in a named pass.
-			if float64(att.Objects) < 0.9*float64(a.Total.Objects) {
+			if float64(att.Objects) < 0.9*float64(total.Objects) {
 				t.Errorf("object attribution %.1f%% < 90%% (attributed %d of %d)",
-					100*float64(att.Objects)/float64(a.Total.Objects), att.Objects, a.Total.Objects)
+					100*float64(att.Objects)/float64(total.Objects), att.Objects, total.Objects)
 			}
-			if float64(att.Bytes) < 0.9*float64(a.Total.Bytes) {
+			if float64(att.Bytes) < 0.9*float64(total.Bytes) {
 				t.Errorf("byte attribution %.1f%% < 90%% (attributed %d of %d)",
-					100*float64(att.Bytes)/float64(a.Total.Bytes), att.Bytes, a.Total.Bytes)
+					100*float64(att.Bytes)/float64(total.Bytes), att.Bytes, total.Bytes)
 			}
 		})
 	}
@@ -59,7 +64,7 @@ func TestAllocAttribution(t *testing.T) {
 
 // TestAllocsExcludedFromStats pins the determinism contract: Stats must
 // not grow allocation fields (it is byte-compared across differential
-// legs), so the measurement lives on Chip.Allocs alongside Times.
+// legs), so the measurement lives in Chip.Phases.
 func TestAllocsExcludedFromStats(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "chips", "adder4.bb"))
 	if err != nil {

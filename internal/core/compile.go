@@ -7,10 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"bristleblocks/internal/obs"
-	"bristleblocks/internal/obs/rtm"
 
 	"bristleblocks/internal/bus"
 	"bristleblocks/internal/cell"
@@ -57,12 +55,6 @@ type Options struct {
 	// order — so this knob is deliberately excluded from the compile
 	// cache key.
 	Parallelism int
-}
-
-// PassTimes records wall-clock per compiler pass.
-type PassTimes struct {
-	Core, Control, Pads time.Duration
-	Total               time.Duration
 }
 
 // Stats summarizes the compiled chip.
@@ -132,12 +124,11 @@ type Chip struct {
 	Logical string
 
 	Stats Stats
-	Times PassTimes
 
-	// Allocs attributes the compile's allocations to its passes (see
-	// allocs.go). Like Times — and unlike Stats — it is nondeterministic
-	// measurement, excluded from caching and differential comparison.
-	Allocs CompileAllocs
+	// Phases is the compile's one measurement of each pass: wall clock
+	// and allocations (see trace.Phases). Unlike Stats it is
+	// nondeterministic, excluded from caching and differential comparison.
+	Phases trace.Phases
 
 	columns []*column
 	plan    *bus.Plan
@@ -177,21 +168,23 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 	chip := &Chip{Spec: spec, Options: *opts}
 	tr := trace.FromContext(ctx)
 	log := obs.Logger(ctx)
-	// The glue between the allocation brackets below must not allocate:
-	// the runtime counts small allocations when a cached span is refilled,
-	// so a glue allocation can flush counts a pass left pending into the
-	// unattributed remainder. The debug lines box their arguments even
-	// when disabled, so they are built only when debug is on.
+	// Each pass runs in one phase bracket, which fills chip.Phases and the
+	// pass span from the same readings. The glue between brackets must not
+	// allocate: the runtime counts small allocations when a cached span is
+	// refilled, so a glue allocation can flush counts a pass left pending
+	// into the unattributed remainder. So span attributes are built only
+	// when traced, and the debug lines (which box their arguments) only
+	// when debug is on.
 	debug := log.Enabled(ctx, slog.LevelDebug)
-	t0 := time.Now()
-	allocO0, allocB0 := rtm.ReadAllocs()
+	ph := &chip.Phases
 
 	// The root span covers the whole compile; pass spans hang under it so
-	// the exported tree reads compile → pass.core → gen.*/stretch.*. Pass
-	// spans end before their error check, so a failed compile's flight
-	// record still shows where the time went.
-	root := tr.StartSpan(nil, "compile", trace.PassCompile, trace.Coordinator).
-		Attr("chip", spec.Name)
+	// the exported tree reads compile → pass.core → gen.*/stretch.*. A
+	// failed pass's bracket still closes, and the defer ends the root
+	// (untagged), so a failed compile's flight record shows where the time
+	// went.
+	total := tr.StartPhase(nil, "compile", trace.PassCompile, &ph[trace.PhaseTotal])
+	root := total.Span.Attr("chip", spec.Name)
 	if link, ok := tr.Link(); ok {
 		// The compile joined a distributed trace (a traceparent header
 		// reached the daemon); stamp the id so exported spans correlate.
@@ -200,69 +193,60 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 	defer root.End()
 
 	// ---- Pass 1: core layout.
-	coreSpan := tr.StartSpan(root, "pass.core", trace.PassCore, trace.Coordinator)
-	err := chip.corePass(trace.WithSpan(ctx, coreSpan))
-	coreSpan.Attr("columns", strconv.Itoa(len(chip.columns)))
-	allocO1, allocB1 := rtm.ReadAllocs()
-	chip.Allocs.Core = AllocDelta{Objects: allocO1 - allocO0, Bytes: allocB1 - allocB0}
-	spanAllocs(coreSpan, chip.Allocs.Core)
-	coreSpan.End()
+	b := tr.StartPhase(root, "pass.core", trace.PassCore, &ph[trace.PhaseCore])
+	err := chip.corePass(trace.WithSpan(ctx, b.Span))
+	if b.Span != nil {
+		b.Span.Attr("columns", strconv.Itoa(len(chip.columns)))
+	}
+	b.End()
 	if err != nil {
 		return nil, fmt.Errorf("core pass: %w", err)
 	}
-	chip.Times.Core = time.Since(t0)
 	if debug {
 		log.Debug("core pass complete", "pass", "core",
 			"columns", len(chip.columns),
 			"cells_generated", chip.Stats.CellsGenerated,
 			"bus_breaks", chip.Stats.BusBreaks,
 			"pitch_lambda", geom.InLambda(chip.Stats.Pitch),
-			"dur", chip.Times.Core)
+			"dur", ph[trace.PhaseCore].Dur)
 	}
 
 	// ---- Pass 2: control design.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	t1 := time.Now()
-	allocO2, allocB2 := rtm.ReadAllocs()
-	ctlSpan := tr.StartSpan(root, "pass.control", trace.PassControl, trace.Coordinator)
-	err = chip.controlPass(trace.WithSpan(ctx, ctlSpan))
-	ctlSpan.Attr("pla_terms", strconv.Itoa(chip.Stats.PLATerms))
-	allocO3, allocB3 := rtm.ReadAllocs()
-	chip.Allocs.Control = AllocDelta{Objects: allocO3 - allocO2, Bytes: allocB3 - allocB2}
-	spanAllocs(ctlSpan, chip.Allocs.Control)
-	ctlSpan.End()
+	b = tr.StartPhase(root, "pass.control", trace.PassControl, &ph[trace.PhaseControl])
+	err = chip.controlPass(trace.WithSpan(ctx, b.Span))
+	if b.Span != nil {
+		b.Span.Attr("pla_terms", strconv.Itoa(chip.Stats.PLATerms))
+	}
+	b.End()
 	if err != nil {
 		return nil, fmt.Errorf("control pass: %w", err)
 	}
-	chip.Times.Control = time.Since(t1)
 	if debug {
 		log.Debug("control pass complete", "pass", "control",
 			"controls", chip.Stats.Controls,
 			"pla_terms", chip.Stats.PLATerms,
 			"control_joins", chip.Stats.ControlJoins,
-			"dur", chip.Times.Control)
+			"dur", ph[trace.PhaseControl].Dur)
 	}
 
 	// ---- Pass 3: pad layout.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	t2 := time.Now()
 	if !opts.SkipPads {
-		allocO4, allocB4 := rtm.ReadAllocs()
-		padSpan := tr.StartSpan(root, "pass.pads", trace.PassPads, trace.Coordinator)
-		err = chip.padPass(trace.WithSpan(ctx, padSpan))
-		padSpan.Attr("pad_requests", strconv.Itoa(chip.Stats.PadRequests)).
-			Attr("route_nets", strconv.FormatInt(chip.Stats.RouteNets, 10)).
-			Attr("route_conflicts", strconv.FormatInt(chip.Stats.RouteConflicts, 10)).
-			Attr("route_retries", strconv.FormatInt(chip.Stats.RouteRetries, 10)).
-			Attr("route_cells_expanded", strconv.FormatInt(chip.Stats.RouteCellsExpanded, 10))
-		allocO5, allocB5 := rtm.ReadAllocs()
-		chip.Allocs.Pads = AllocDelta{Objects: allocO5 - allocO4, Bytes: allocB5 - allocB4}
-		spanAllocs(padSpan, chip.Allocs.Pads)
-		padSpan.End()
+		b = tr.StartPhase(root, "pass.pads", trace.PassPads, &ph[trace.PhasePads])
+		err = chip.padPass(trace.WithSpan(ctx, b.Span))
+		if b.Span != nil {
+			b.Span.Attr("pad_requests", strconv.Itoa(chip.Stats.PadRequests)).
+				Attr("route_nets", strconv.FormatInt(chip.Stats.RouteNets, 10)).
+				Attr("route_conflicts", strconv.FormatInt(chip.Stats.RouteConflicts, 10)).
+				Attr("route_retries", strconv.FormatInt(chip.Stats.RouteRetries, 10)).
+				Attr("route_cells_expanded", strconv.FormatInt(chip.Stats.RouteCellsExpanded, 10))
+		}
+		b.End()
 		if err != nil {
 			return nil, fmt.Errorf("pad pass: %w", err)
 		}
@@ -271,44 +255,26 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 				"pads", chip.Stats.PadCount,
 				"pad_requests", chip.Stats.PadRequests,
 				"wire_lambda", geom.InLambda(chip.Stats.WireLen),
-				"dur", time.Since(t2))
+				"dur", ph[trace.PhasePads].Dur)
 		}
 	}
-	chip.Times.Pads = time.Since(t2)
 
 	// Remaining representations.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
 	// fillStats measures the chip's bounding box, whose memo allocates,
-	// so it runs inside the representations bracket (see debug above).
+	// so it runs inside the representations bracket.
 	if !opts.SkipExtraReps {
-		allocO6, allocB6 := rtm.ReadAllocs()
-		repsSpan := tr.StartSpan(root, "pass.representations", trace.PassReps, trace.Coordinator)
+		b = tr.StartPhase(root, "pass.representations", trace.PassReps, &ph[trace.PhaseReps])
 		chip.buildRepresentations()
 		chip.fillStats()
-		allocO7, allocB7 := rtm.ReadAllocs()
-		chip.Allocs.Reps = AllocDelta{Objects: allocO7 - allocO6, Bytes: allocB7 - allocB6}
-		spanAllocs(repsSpan, chip.Allocs.Reps)
-		repsSpan.End()
+		b.End()
 	} else {
 		chip.fillStats()
 	}
-	chip.Times.Total = time.Since(t0)
-	allocOEnd, allocBEnd := rtm.ReadAllocs()
-	chip.Allocs.Total = AllocDelta{Objects: allocOEnd - allocO0, Bytes: allocBEnd - allocB0}
-	spanAllocs(root, chip.Allocs.Total)
+	total.End()
 	return chip, nil
-}
-
-// spanAllocs tags a pass span with its allocation delta, mirroring the
-// Chip.Allocs fields into the exported trace.
-func spanAllocs(a *trace.Active, d AllocDelta) {
-	if a == nil {
-		return // untraced: format nothing in the glue
-	}
-	a.Attr("allocs", strconv.FormatUint(d.Objects, 10)).
-		Attr("alloc_bytes", strconv.FormatUint(d.Bytes, 10))
 }
 
 // CoreOnly runs Pass 1 alone and returns the chip with its core layout,
@@ -400,8 +366,11 @@ func (c *Chip) corePass(ctx context.Context) error {
 	perElemKey := make([]string, len(elems))
 	err = runIndexed(ctx, workers, len(elems), func(worker, i int) error {
 		e := elems[i]
-		sp := tr.StartSpan(passSpan, "gen."+e.Name, trace.PassCore, worker).
-			Attr("kind", e.Kind)
+		var sp *trace.Active
+		if tr != nil { // untraced: build no span name
+			sp = tr.StartSpan(passSpan, "gen."+e.Name, trace.PassCore, worker).
+				Attr("kind", e.Kind)
+		}
 		defer sp.End()
 		busA, busB := busNamesAt(plan, i)
 		if store != nil {
@@ -538,7 +507,10 @@ func (c *Chip) corePass(ctx context.Context) error {
 	deltas := make([]geom.Coord, len(uniq))
 	err = runIndexed(ctx, workers, len(uniq), func(worker, i int) error {
 		u := uniq[i]
-		sp := tr.StartSpan(passSpan, "stretch."+u.cc.Name, trace.PassCore, worker)
+		var sp *trace.Active
+		if tr != nil { // untraced: build no span name or attributes
+			sp = tr.StartSpan(passSpan, "stretch."+u.cc.Name, trace.PassCore, worker)
+		}
 		defer sp.End()
 		var stKey, stGroup string
 		if store != nil {
@@ -549,8 +521,10 @@ func (c *Chip) corePass(ctx context.Context) error {
 			if v, ok := store.GetDurable(stGroup, stKey, decodeCell); ok {
 				sc := v.(*cell.Cell)
 				deltas[i] = sc.Size.H() - u.cc.Size.H()
-				sp.Attr("cache", "hit").
-					Attr("delta_lambda", strconv.FormatFloat(geom.InLambda(deltas[i]), 'g', -1, 64))
+				if sp != nil {
+					sp.Attr("cache", "hit").
+						Attr("delta_lambda", strconv.FormatFloat(geom.InLambda(deltas[i]), 'g', -1, 64))
+				}
 				stretchedOf[i] = sc
 				return nil
 			}
@@ -572,7 +546,9 @@ func (c *Chip) corePass(ctx context.Context) error {
 			return fmt.Errorf("column %d (%s): %w", u.colIdx, u.colName, err)
 		}
 		deltas[i] = sc.Size.H() - u.cc.Size.H()
-		sp.Attr("delta_lambda", strconv.FormatFloat(geom.InLambda(deltas[i]), 'g', -1, 64))
+		if sp != nil {
+			sp.Attr("delta_lambda", strconv.FormatFloat(geom.InLambda(deltas[i]), 'g', -1, 64))
+		}
 		if store != nil {
 			// Stretched cells are read-only from here on (assembly reads the
 			// layout, pad collection reads the bristles), so the cached copy

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"bristleblocks/internal/decoder"
 	"bristleblocks/internal/drc"
 	"bristleblocks/internal/geom"
 	"bristleblocks/internal/layer"
+	"bristleblocks/internal/trace"
 	"bristleblocks/internal/transistor"
 )
 
@@ -142,14 +145,32 @@ func TestEastIOPortRejectedWhenDecoderWider(t *testing.T) {
 	}
 }
 
+// TestPassTimesRecorded checks the phase record's times, untraced and
+// traced: every pass ran for a positive time, and the passes sum to at
+// most the whole compile.
 func TestPassTimesRecorded(t *testing.T) {
-	chip := compileTest(t, testSpec(4), nil)
-	tm := chip.Times
-	if tm.Core <= 0 || tm.Control <= 0 || tm.Pads <= 0 {
-		t.Errorf("pass times not recorded: %+v", tm)
-	}
-	if tm.Total < tm.Core+tm.Control+tm.Pads {
-		t.Errorf("total %v less than sum of passes", tm.Total)
+	for _, traced := range []bool{false, true} {
+		ctx := context.Background()
+		if traced {
+			ctx = trace.WithTrace(ctx, trace.New())
+		}
+		chip, err := CompileCtx(ctx, testSpec(4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := &chip.Phases
+		for p := trace.PhaseCore; p < trace.PhaseTotal; p++ {
+			if ph[p].Dur <= 0 {
+				t.Errorf("traced=%v: phase %d time not recorded: %+v", traced, p, ph)
+			}
+		}
+		var sum time.Duration
+		for _, m := range ph[:trace.PhaseTotal] {
+			sum += m.Dur
+		}
+		if sum > ph[trace.PhaseTotal].Dur {
+			t.Errorf("traced=%v: passes sum to %v, more than the total %v", traced, sum, ph[trace.PhaseTotal].Dur)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"bristleblocks/internal/trace"
 )
 
 // TestCompileCtxCanceledBeforeStart: a dead context returns before any
@@ -38,8 +40,8 @@ func TestCompileCtxCanceledMidCompile(t *testing.T) {
 	}
 	// An immediately-canceled compile must cost a small fraction of the
 	// real thing (it may still run spec validation and bus planning).
-	if full.Times.Total > 20*time.Millisecond && elapsed > full.Times.Total/2 {
-		t.Fatalf("canceled compile took %v of a full %v", elapsed, full.Times.Total)
+	if total := full.Phases[trace.PhaseTotal].Dur; total > 20*time.Millisecond && elapsed > total/2 {
+		t.Fatalf("canceled compile took %v of a full %v", elapsed, total)
 	}
 }
 

@@ -25,23 +25,6 @@ const (
 	OutcomeCanceled = "canceled"
 )
 
-// AllocDelta mirrors core.AllocDelta (objects and bytes allocated in an
-// interval) without importing the compiler: the recorder is a leaf
-// package the compiler itself must stay free to import.
-type AllocDelta struct {
-	Objects uint64 `json:"objects"`
-	Bytes   uint64 `json:"bytes"`
-}
-
-// Allocs is a compile's per-pass allocation attribution as recorded.
-type Allocs struct {
-	Core    AllocDelta `json:"core"`
-	Control AllocDelta `json:"control"`
-	Pads    AllocDelta `json:"pads"`
-	Reps    AllocDelta `json:"reps"`
-	Total   AllocDelta `json:"total"`
-}
-
 // Record is one compile's post-hoc evidence.
 type Record struct {
 	// ID is the request ID the daemon minted for the compile (unique
@@ -70,9 +53,9 @@ type Record struct {
 	// inherited from the client's traceparent header or minted by the
 	// daemon — so one flight record joins up with external tracing.
 	TraceID string `json:"trace_id,omitempty"`
-	// Allocs is the per-pass allocation attribution (nil when the
-	// compile never produced a chip).
-	Allocs *Allocs `json:"allocs,omitempty"`
+	// Allocs is the compile's phase record, serialized as its per-pass
+	// allocation attribution (nil when the compile never produced a chip).
+	Allocs *trace.Phases `json:"allocs,omitempty"`
 	// Spans is the compile's full span tree.
 	Spans []trace.Span `json:"spans,omitempty"`
 }
@@ -119,14 +102,8 @@ func (r *Recorder) Records() []Record {
 
 // Get finds a retained record by request ID.
 func (r *Recorder) Get(id string) (Record, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if n > uint64(len(r.buf)) {
-		n = uint64(len(r.buf))
-	}
-	for i := uint64(0); i < n; i++ {
-		if rec := r.buf[(r.next-1-i)%uint64(len(r.buf))]; rec.ID == id {
+	for _, rec := range r.Records() {
+		if rec.ID == id {
 			return rec, true
 		}
 	}
@@ -134,14 +111,7 @@ func (r *Recorder) Get(id string) (Record, bool) {
 }
 
 // Len reports retained records; Total reports all ever recorded.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next > uint64(len(r.buf)) {
-		return len(r.buf)
-	}
-	return int(r.next)
-}
+func (r *Recorder) Len() int { return len(r.Records()) }
 
 // Cap reports the ring's capacity.
 func (r *Recorder) Cap() int { return len(r.buf) }

@@ -714,7 +714,10 @@ func routeAll(ctx context.Context, router *route.Router, bounds, coreBounds geom
 					return nil
 				}
 				p := placements[order[k]]
-				span := tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, worker)
+				var span *trace.Active
+				if tr != nil { // untraced: build no span name or attributes
+					span = tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, worker)
+				}
 				out := &unitOut{}
 				clone := master.CloneInto(clones[worker])
 				if worker == 0 {
@@ -728,10 +731,12 @@ func routeAll(ctx context.Context, router *route.Router, bounds, coreBounds geom
 				out.wires, out.err = routeUnit(u, p, extra, coreBounds, band, maxD)
 				out.segs = u.segs
 				out.stats = clone.Stats()
-				span.Attr("net", p.req.Net).
-					Attr("cells_expanded", strconv.FormatInt(out.stats.CellsExpanded, 10)).
-					Attr("speculative", "true")
-				span.End()
+				if span != nil {
+					span.Attr("net", p.req.Net).
+						Attr("cells_expanded", strconv.FormatInt(out.stats.CellsExpanded, 10)).
+						Attr("speculative", "true").
+						End()
+				}
 				outs[j] = out
 				if out.err != nil {
 					for {
@@ -804,17 +809,22 @@ func routeAll(ctx context.Context, router *route.Router, bounds, coreBounds geom
 			}
 			// Serial (re-)route on the live grid — the seed code path.
 			master.BumpSeq()
-			span := tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, trace.Coordinator)
+			var span *trace.Active
+			if tr != nil {
+				span = tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, trace.Coordinator)
+			}
 			before := master.Stats()
 			u := &unitCtx{router: master, segs: segments}
 			uw, err := routeUnit(u, p, extra, coreBounds, band, maxD)
 			delta := master.Stats()
 			delta.CellsExpanded -= before.CellsExpanded
 			retried := out != nil
-			span.Attr("net", p.req.Net).
-				Attr("cells_expanded", strconv.FormatInt(delta.CellsExpanded, 10)).
-				Attr("retry", strconv.FormatBool(retried))
-			span.End()
+			if span != nil {
+				span.Attr("net", p.req.Net).
+					Attr("cells_expanded", strconv.FormatInt(delta.CellsExpanded, 10)).
+					Attr("retry", strconv.FormatBool(retried)).
+					End()
+			}
 			if retried {
 				rs.Retries++
 			}

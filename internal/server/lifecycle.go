@@ -129,12 +129,10 @@ func (c *call) begin() context.CancelFunc {
 }
 
 // lookup is the call's one counted cache lookup — memory, disk, then the
-// key's owning peer, bounded by the call's context — recorded as its
-// cache.lookup span whatever the outcome.
+// key's owning peer, bounded by the call's context — which GetCtx records
+// as the call's cache.lookup span whatever the outcome.
 func (c *call) lookup() (*cache.Result, bool) {
-	t0 := time.Now()
 	res, ok := c.s.cache.GetCtx(c.ctx, c.key)
-	c.tr.Lookup(nil, time.Since(t0), ok)
 	if ok {
 		c.s.metrics.cacheServed.Add(1)
 	}
@@ -215,11 +213,15 @@ func (c *call) settle(out jobResult, what string) (int, string) {
 		Outcome:  outcome,
 		DurUS:    time.Since(c.start).Microseconds(),
 		TraceID:  c.link.TraceIDString(),
-		Allocs:   flightAllocs(out.chip),
 		Spans:    c.tr.Spans(),
 	}
 	if out.err != nil {
 		rec.Error = out.err.Error()
+	}
+	if out.chip != nil {
+		// A copy: the ring must not keep the whole chip alive.
+		ph := out.chip.Phases
+		rec.Allocs = &ph
 	}
 	c.s.flight.Add(rec)
 	c.s.exportTrace(c.tr)

@@ -40,11 +40,14 @@ type metrics struct {
 	verifyViolations                                     expvar.Int
 	scenarioRequests, scenarioBadVectors, scenarioGraded expvar.Int
 	scenarioVectors, scenarioFailed, scenarioGradeLast   expvar.Int
-	// Pass 3 routing work and per-pass allocation attribution, accumulated
-	// over cold compiles.
-	routeNets, routeConflicts, routeRetries, routeCells            expvar.Int
-	allocsCore, allocsControl, allocsPads, allocsReps, allocsTotal expvar.Int
-	allocBCore, allocBControl, allocBPads, allocBReps, allocBTotal expvar.Int
+	// Pass 3 routing work, accumulated over cold compiles.
+	routeNets, routeConflicts, routeRetries, routeCells expvar.Int
+	// The per-phase families, indexed by trace.Phase and filled from each
+	// counted compile's phase record: latency histograms for the three
+	// passes, allocation counters for every phase (PhaseTotal is the
+	// attribution denominator).
+	passHist                 [trace.PhasePads + 1]*histogram
+	phaseAllocs, phaseAllocB [trace.NumPhases]expvar.Int
 	// routeFrontierPeak is a high-water gauge; its max update is a CAS
 	// loop because parallel compile workers report concurrently.
 	routeFrontierPeak atomic.Int64
@@ -53,8 +56,7 @@ type metrics struct {
 	// hot the scraper runs, the runtime is read at most once per second.
 	rt *rtm.Sampler
 
-	passCore, passControl, passPads, genElement *histogram
-	request, verifyHist, scenarioHist           *histogram
+	genElement, request, verifyHist, scenarioHist *histogram
 }
 
 // sample is one exported row of the metric table. name is the Prometheus
@@ -73,12 +75,15 @@ type sample struct {
 func (r sample) with(label string) sample { r.label = label; return r }
 
 func newMetrics() *metrics {
-	return &metrics{
-		rt:       rtm.NewSampler(time.Second),
-		passCore: newHistogram(), passControl: newHistogram(), passPads: newHistogram(),
+	m := &metrics{
+		rt:         rtm.NewSampler(time.Second),
 		genElement: newHistogram(), request: newHistogram(),
 		verifyHist: newHistogram(), scenarioHist: newHistogram(),
 	}
+	for p := range m.passHist {
+		m.passHist[p] = newHistogram()
+	}
+	return m
 }
 
 // table reads one snapshot of the metric set and of the server state it
@@ -201,23 +206,23 @@ func (m *metrics) table(s *Server) []sample {
 
 		// Per-pass wall-clock: seconds on /metrics, microseconds under the
 		// legacy /debug/vars keys.
-		c("bbd_pass_seconds_total", "", "Cumulative wall-clock spent per compiler pass.", float64(m.passControl.sumUS.Load())/1e6).with("pass=control"),
-		c("bbd_pass_seconds_total", "", "", float64(m.passCore.sumUS.Load())/1e6).with("pass=core"),
-		c("bbd_pass_seconds_total", "", "", float64(m.passPads.sumUS.Load())/1e6).with("pass=pads"),
-		c("", "pass_us_core", "", float64(m.passCore.sumUS.Load())),
-		c("", "pass_us_control", "", float64(m.passControl.sumUS.Load())),
-		c("", "pass_us_pads", "", float64(m.passPads.sumUS.Load())),
+		c("bbd_pass_seconds_total", "", "Cumulative wall-clock spent per compiler pass.", float64(m.passHist[trace.PhaseControl].sumUS.Load())/1e6).with("pass=control"),
+		c("bbd_pass_seconds_total", "", "", float64(m.passHist[trace.PhaseCore].sumUS.Load())/1e6).with("pass=core"),
+		c("bbd_pass_seconds_total", "", "", float64(m.passHist[trace.PhasePads].sumUS.Load())/1e6).with("pass=pads"),
+		c("", "pass_us_core", "", float64(m.passHist[trace.PhaseCore].sumUS.Load())),
+		c("", "pass_us_control", "", float64(m.passHist[trace.PhaseControl].sumUS.Load())),
+		c("", "pass_us_pads", "", float64(m.passHist[trace.PhasePads].sumUS.Load())),
 
-		c("bbd_pass_allocs_total", "pass_allocs_control", "Objects allocated per compiler pass across cold compiles.", float64(m.allocsControl.Value())).with("pass=control"),
-		c("bbd_pass_allocs_total", "pass_allocs_core", "", float64(m.allocsCore.Value())).with("pass=core"),
-		c("bbd_pass_allocs_total", "pass_allocs_pads", "", float64(m.allocsPads.Value())).with("pass=pads"),
-		c("bbd_pass_allocs_total", "pass_allocs_reps", "", float64(m.allocsReps.Value())).with("pass=reps"),
-		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_control", "Bytes allocated per compiler pass across cold compiles.", float64(m.allocBControl.Value())).with("pass=control"),
-		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_core", "", float64(m.allocBCore.Value())).with("pass=core"),
-		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_pads", "", float64(m.allocBPads.Value())).with("pass=pads"),
-		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_reps", "", float64(m.allocBReps.Value())).with("pass=reps"),
-		c("bbd_compile_allocs_total", "compile_allocs_total", "Objects allocated across whole cold compiles (attribution denominator).", float64(m.allocsTotal.Value())),
-		c("bbd_compile_alloc_bytes_total", "compile_alloc_bytes_total", "Bytes allocated across whole cold compiles (attribution denominator).", float64(m.allocBTotal.Value())),
+		c("bbd_pass_allocs_total", "pass_allocs_control", "Objects allocated per compiler pass across cold compiles.", float64(m.phaseAllocs[trace.PhaseControl].Value())).with("pass=control"),
+		c("bbd_pass_allocs_total", "pass_allocs_core", "", float64(m.phaseAllocs[trace.PhaseCore].Value())).with("pass=core"),
+		c("bbd_pass_allocs_total", "pass_allocs_pads", "", float64(m.phaseAllocs[trace.PhasePads].Value())).with("pass=pads"),
+		c("bbd_pass_allocs_total", "pass_allocs_reps", "", float64(m.phaseAllocs[trace.PhaseReps].Value())).with("pass=reps"),
+		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_control", "Bytes allocated per compiler pass across cold compiles.", float64(m.phaseAllocB[trace.PhaseControl].Value())).with("pass=control"),
+		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_core", "", float64(m.phaseAllocB[trace.PhaseCore].Value())).with("pass=core"),
+		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_pads", "", float64(m.phaseAllocB[trace.PhasePads].Value())).with("pass=pads"),
+		c("bbd_pass_alloc_bytes_total", "pass_alloc_bytes_reps", "", float64(m.phaseAllocB[trace.PhaseReps].Value())).with("pass=reps"),
+		c("bbd_compile_allocs_total", "compile_allocs_total", "Objects allocated across whole cold compiles (attribution denominator).", float64(m.phaseAllocs[trace.PhaseTotal].Value())),
+		c("bbd_compile_alloc_bytes_total", "compile_alloc_bytes_total", "Bytes allocated across whole cold compiles (attribution denominator).", float64(m.phaseAllocB[trace.PhaseTotal].Value())),
 
 		g("bbd_runtime_heap_bytes", "", "Bytes occupied by live and unswept heap objects.", float64(rt.HeapBytes)),
 		g("bbd_runtime_total_bytes", "", "All memory mapped by the Go runtime.", float64(rt.TotalBytes)),
@@ -249,9 +254,9 @@ func (m *metrics) table(s *Server) []sample {
 
 		c("bbd_flight_recorded_total", "flight_recorded", "Compiles recorded by the flight recorder (including overwritten).", float64(s.flight.Total())),
 
-		h("bbd_pass_core_latency_ms", "latency_ms_pass_core", "Pass 1 (core layout) latency per cold compile.", m.passCore),
-		h("bbd_pass_control_latency_ms", "latency_ms_pass_control", "Pass 2 (control design) latency per cold compile.", m.passControl),
-		h("bbd_pass_pads_latency_ms", "latency_ms_pass_pads", "Pass 3 (pad layout) latency per cold compile.", m.passPads),
+		h("bbd_pass_core_latency_ms", "latency_ms_pass_core", "Pass 1 (core layout) latency per cold compile.", m.passHist[trace.PhaseCore]),
+		h("bbd_pass_control_latency_ms", "latency_ms_pass_control", "Pass 2 (control design) latency per cold compile.", m.passHist[trace.PhaseControl]),
+		h("bbd_pass_pads_latency_ms", "latency_ms_pass_pads", "Pass 3 (pad layout) latency per cold compile.", m.passHist[trace.PhasePads]),
 		h("bbd_gen_element_latency_ms", "latency_ms_gen_element", "Per-element generation latency inside Pass 1's fan-out.", m.genElement),
 		h("bbd_request_latency_ms", "latency_ms_request", "End-to-end request latency, every terminal outcome.", m.request),
 		h("bbd_verify_latency_ms", "latency_ms_verify", "Per-compile logic-vs-simulation verifier latency.", m.verifyHist),
@@ -341,17 +346,22 @@ func (m *metrics) observeScenarios(d time.Duration, verdicts []scenario.Verdict)
 	m.scenarioHist.observe(d)
 }
 
-// observeCompile records one cold compile: the compile count, per-pass
-// wall-clock, every Pass 1 element-generation span (the fan-out hot loop),
-// the build counters and last-compile gauges, and the allocation
-// attribution. Every path that counts a compile comes through here, so
-// bbd_compiles_total and the pass families move together.
+// observeCompile records one cold or /verify compile: the compile count,
+// the per-phase families from its phase record, every Pass 1
+// element-generation span (the fan-out hot loop), and the build counters
+// and last-compile gauges. It is the only writer of the per-phase
+// families, so bbd_compiles_total and they move together; an edit
+// session's compile is counted apart and feeds none of them.
 func (m *metrics) observeCompile(chip *core.Chip, spans []trace.Span) {
 	m.compiles.Add(1)
-	t := chip.Times
-	m.passCore.observe(t.Core)
-	m.passControl.observe(t.Control)
-	m.passPads.observe(t.Pads)
+	ph := &chip.Phases
+	for p, h := range m.passHist {
+		h.observe(ph[p].Dur)
+	}
+	for p := range ph {
+		m.phaseAllocs[p].Add(int64(ph[p].Objects))
+		m.phaseAllocB[p].Add(int64(ph[p].Bytes))
+	}
 	for _, s := range spans {
 		if s.Pass == trace.PassCore && strings.HasPrefix(s.Name, "gen.") {
 			m.genElement.observe(time.Duration(s.DurUS) * time.Microsecond)
@@ -379,22 +389,4 @@ func (m *metrics) observeCompile(chip *core.Chip, spans []trace.Span) {
 			break
 		}
 	}
-	m.observeAllocs(chip.Allocs)
-}
-
-// observeAllocs accumulates a compile's per-pass allocation attribution.
-// Counts are process-cumulative runtime counters bracketing each pass, so
-// concurrent compiles bleed into each other's buckets — the totals stay
-// honest in aggregate, which is what a rate() over these families answers.
-func (m *metrics) observeAllocs(a core.CompileAllocs) {
-	m.allocsCore.Add(int64(a.Core.Objects))
-	m.allocsControl.Add(int64(a.Control.Objects))
-	m.allocsPads.Add(int64(a.Pads.Objects))
-	m.allocsReps.Add(int64(a.Reps.Objects))
-	m.allocBCore.Add(int64(a.Core.Bytes))
-	m.allocBControl.Add(int64(a.Control.Bytes))
-	m.allocBPads.Add(int64(a.Pads.Bytes))
-	m.allocBReps.Add(int64(a.Reps.Bytes))
-	m.allocsTotal.Add(int64(a.Total.Objects))
-	m.allocBTotal.Add(int64(a.Total.Bytes))
 }

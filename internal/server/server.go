@@ -777,22 +777,6 @@ func (s *Server) observeRequest(sw *statusWriter, start time.Time) {
 	s.slo.Record(sloOutcome(status), d)
 }
 
-// flightAllocs converts a cold compile's attribution for the recorder
-// (which must not import the compiler); nil for cache hits and failures.
-func flightAllocs(chip *core.Chip) *flightrec.Allocs {
-	if chip == nil {
-		return nil
-	}
-	a := &chip.Allocs
-	conv := func(d core.AllocDelta) flightrec.AllocDelta {
-		return flightrec.AllocDelta{Objects: d.Objects, Bytes: d.Bytes}
-	}
-	return &flightrec.Allocs{
-		Core: conv(a.Core), Control: conv(a.Control), Pads: conv(a.Pads),
-		Reps: conv(a.Reps), Total: conv(a.Total),
-	}
-}
-
 // exportTrace appends one OTLP/JSON line for the compile's trace when
 // the daemon was started with -trace-export. Buffered first so each
 // compile lands as a single Write on the shared file.

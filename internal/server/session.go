@@ -261,9 +261,6 @@ func (s *Server) sessionCompile(w http.ResponseWriter, c *call, sess *session) {
 	after := sess.store.Counters()
 	sess.touch(time.Now())
 	s.metrics.sessionCompiles.Add(1)
-	if out.err == nil {
-		s.metrics.observeAllocs(out.chip.Allocs)
-	}
 	if !c.finish(w, out, "session="+sess.id+" ") {
 		return
 	}

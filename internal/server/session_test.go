@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bristleblocks/internal/trace"
 )
 
 func openSession(t *testing.T, url string) SessionResponse {
@@ -216,5 +218,40 @@ func TestSessionMetricsExported(t *testing.T) {
 		if strings.HasPrefix(line, "bbd_incr_session_compiles_total ") && strings.HasSuffix(strings.TrimSpace(line), " 0") {
 			t.Error("bbd_incr_session_compiles_total is 0 after two session compiles")
 		}
+	}
+}
+
+// TestSessionCompileLeavesPhaseFamilies: only compiles counted in
+// bbd_compiles_total feed the per-phase families. An edit session's
+// compile is counted in bbd_incr_session_compiles_total alone, and its
+// phase record still reaches its flight record.
+func TestSessionCompileLeavesPhaseFamilies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Parallelism: 1})
+	if resp, _ := postSpec(t, ts.URL+"/compile", specText(1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold compile = %d", resp.StatusCode)
+	}
+	before, vars := phaseFamilies(t, ts.URL), debugVars(t, ts.URL)
+	compiles, sessions := counter(t, vars, "compiles"), counter(t, vars, "session_compiles")
+
+	sr := openSession(t, ts.URL)
+	resp, cr := postSpec(t, ts.URL+"/session/"+sr.SessionID+"/compile", specText(0))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session compile = %d", resp.StatusCode)
+	}
+	after, vars := phaseFamilies(t, ts.URL), debugVars(t, ts.URL)
+	for k, v := range before {
+		if after[k] != v {
+			t.Errorf("session compile moved %s: %d -> %d", k, v, after[k])
+		}
+	}
+	if got := counter(t, vars, "compiles"); got != compiles {
+		t.Errorf("compiles moved %d -> %d on a session compile", compiles, got)
+	}
+	if got := counter(t, vars, "session_compiles"); got != sessions+1 {
+		t.Errorf("session_compiles = %d, want %d", got, sessions+1)
+	}
+	rec := flightRecord(t, ts.URL, cr.RequestID)
+	if rec.Allocs == nil || rec.Allocs[trace.PhaseTotal].Objects == 0 || rec.Allocs[trace.PhaseCore].Objects == 0 {
+		t.Fatalf("session compile's flight record has no allocs: %+v", rec.Allocs)
 	}
 }

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bristleblocks/internal/obs/flightrec"
 	"bristleblocks/internal/obs/prom"
 	"bristleblocks/internal/obs/slo"
+	"bristleblocks/internal/trace"
 )
 
 // postSpecHeader is postSpec with extra request headers.
@@ -358,5 +363,112 @@ func TestTraceExportOTLP(t *testing.T) {
 	}
 	if !sawRemoteParent {
 		t.Fatal("no exported span parents onto the inbound span id")
+	}
+}
+
+// flightRecord fetches a request's flight record from /debug/compiles/{id}.
+func flightRecord(t *testing.T, baseURL, id string) flightrec.Record {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/debug/compiles/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/compiles/%s = %d", id, resp.StatusCode)
+	}
+	var rec flightrec.Record
+	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+		t.Fatalf("/debug/compiles/%s is not a flight record: %v", id, err)
+	}
+	return rec
+}
+
+// phaseFamilies reads every per-phase family from /debug/vars: the pass
+// time sums and latency counts and the allocation counters.
+func phaseFamilies(t *testing.T, baseURL string) map[string]int64 {
+	t.Helper()
+	out := make(map[string]int64)
+	for k, v := range debugVars(t, baseURL) {
+		switch {
+		case strings.HasPrefix(k, "pass_"), strings.HasPrefix(k, "compile_alloc"):
+			out[k] = counter(t, map[string]any{k: v}, k)
+		case strings.HasPrefix(k, "latency_ms_pass_"):
+			out[k+".count"] = counter(t, v.(map[string]any), "count")
+		}
+	}
+	if len(out) != 16 {
+		t.Fatalf("/debug/vars has %d per-phase keys, want 16: %v", len(out), out)
+	}
+	return out
+}
+
+// TestTelemetryPhaseRecordAgrees: a compile's phase record is the one
+// source of its pass times and allocations, so for each phase the reply's
+// times_us, the span's duration and allocation attributes, the flight
+// record's allocs and the /debug/vars deltas all read the same numbers.
+func TestTelemetryPhaseRecordAgrees(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "chips", "adder4.bb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := phaseFamilies(t, ts.URL)
+	resp, cr := postSpec(t, ts.URL+"/compile?trace=1", string(src))
+	if resp.StatusCode != http.StatusOK || cr.Cached {
+		t.Fatalf("cold compile: status %d, cached %v", resp.StatusCode, cr.Cached)
+	}
+	after := phaseFamilies(t, ts.URL)
+	rec := flightRecord(t, ts.URL, cr.RequestID)
+	if rec.Allocs == nil {
+		t.Fatal("flight record has no allocs")
+	}
+	spans := make(map[string]trace.Span)
+	for _, s := range cr.Trace {
+		spans[s.Name] = s
+	}
+	phases := []struct {
+		p         trace.Phase
+		key, span string
+		us        int64 // the reply's times_us entry (-1: none)
+	}{
+		{trace.PhaseCore, "core", "pass.core", cr.TimesUS.Core},
+		{trace.PhaseControl, "control", "pass.control", cr.TimesUS.Control},
+		{trace.PhasePads, "pads", "pass.pads", cr.TimesUS.Pads},
+		{trace.PhaseReps, "reps", "pass.representations", -1},
+		{trace.PhaseTotal, "total", "compile", cr.TimesUS.Total},
+	}
+	for _, ph := range phases {
+		s, ok := spans[ph.span]
+		if !ok {
+			t.Fatalf("no %s span in the reply's trace", ph.span)
+		}
+		if ph.us >= 0 && s.DurUS != ph.us {
+			t.Errorf("%s: times_us %d, span dur_us %d", ph.key, ph.us, s.DurUS)
+		}
+		m := rec.Allocs[ph.p]
+		if got, want := s.Attrs["allocs"], strconv.FormatUint(m.Objects, 10); got != want {
+			t.Errorf("%s: span allocs %s, flight record %s", ph.key, got, want)
+		}
+		if got, want := s.Attrs["alloc_bytes"], strconv.FormatUint(m.Bytes, 10); got != want {
+			t.Errorf("%s: span alloc_bytes %s, flight record %s", ph.key, got, want)
+		}
+
+		objects, bytes := "pass_allocs_"+ph.key, "pass_alloc_bytes_"+ph.key
+		if ph.p == trace.PhaseTotal {
+			objects, bytes = "compile_allocs_total", "compile_alloc_bytes_total"
+		}
+		if d := after[objects] - before[objects]; d != int64(m.Objects) {
+			t.Errorf("%s moved by %d, flight record %d", objects, d, m.Objects)
+		}
+		if d := after[bytes] - before[bytes]; d != int64(m.Bytes) {
+			t.Errorf("%s moved by %d, flight record %d", bytes, d, m.Bytes)
+		}
+		if ph.p <= trace.PhasePads {
+			key := "pass_us_" + ph.key
+			if d := after[key] - before[key]; d != ph.us {
+				t.Errorf("%s moved by %d, times_us %d", key, d, ph.us)
+			}
+		}
 	}
 }

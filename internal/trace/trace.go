@@ -159,11 +159,17 @@ func (a *Active) Attr(key, value string) *Active {
 	return a
 }
 
-// End closes the span and records it into the trace.
+// End closes the span and records it into the trace; it is a no-op on
+// a span already ended.
 func (a *Active) End() {
-	if a == nil {
-		return
+	if a != nil && a.t != nil {
+		a.endAt(time.Now())
 	}
+}
+
+// endAt closes the span at the caller's instant (a phase bracket's clock
+// reading) and detaches it from the trace, so a later End is a no-op.
+func (a *Active) endAt(at time.Time) {
 	a.t.add(Span{
 		ID:      a.id,
 		Parent:  a.parent,
@@ -171,21 +177,11 @@ func (a *Active) End() {
 		Pass:    a.pass,
 		Worker:  a.worker,
 		StartUS: a.start.Microseconds(),
-		DurUS:   (time.Since(a.t.t0) - a.start).Microseconds(),
+		DurUS:   (at.Sub(a.t.t0) - a.start).Microseconds(),
 		Hit:     a.hit,
 		Attrs:   a.attrs,
 	})
-}
-
-// Begin opens a root span and returns the function that closes it:
-//
-//	defer tr.Begin("gen.acc", trace.PassCore, worker)()
-//
-// Safe on a nil receiver (both calls become no-ops). For hierarchical
-// recording use StartSpan, which carries a parent and attributes.
-func (t *Trace) Begin(name, pass string, worker int) func() {
-	a := t.StartSpan(nil, name, pass, worker)
-	return a.End
+	a.t = nil
 }
 
 // Lookup records a compile-cache probe and whether it hit, as a child of
@@ -198,21 +194,10 @@ func (t *Trace) Lookup(parent *Active, d time.Duration, hit bool) {
 	if hit {
 		outcome = "hit"
 	}
-	var pid int64
-	if parent != nil {
-		pid = parent.id
-	}
-	t.add(Span{
-		ID:      t.nextID.Add(1),
-		Parent:  pid,
-		Name:    "cache.lookup",
-		Pass:    PassCache,
-		Worker:  Coordinator,
-		StartUS: (time.Since(t.t0) - d).Microseconds(),
-		DurUS:   d.Microseconds(),
-		Hit:     hit,
-		Attrs:   map[string]string{"outcome": outcome},
-	})
+	now := time.Now()
+	a := Active{t: t, id: t.nextID.Add(1), parent: parent.ID(), name: "cache.lookup", pass: PassCache,
+		worker: Coordinator, start: now.Sub(t.t0) - d, hit: hit, attrs: map[string]string{"outcome": outcome}}
+	a.endAt(now)
 }
 
 func (t *Trace) add(s Span) {

@@ -13,7 +13,7 @@ import (
 // compiler records unconditionally, so this is the untraced fast path.
 func TestNilTraceIsFree(t *testing.T) {
 	var tr *Trace
-	tr.Begin("gen.x", PassCore, 0)()
+	tr.StartSpan(nil, "gen.x", PassCore, 0).End()
 	tr.Lookup(nil, time.Millisecond, true)
 	a := tr.StartSpan(nil, "gen.y", PassCore, 0)
 	if a != nil {
@@ -44,8 +44,8 @@ func TestRoundTrip(t *testing.T) {
 	if got != tr {
 		t.Fatal("context did not carry the trace")
 	}
-	end := got.Begin("pass.core", PassCore, Coordinator)
-	got.Begin("gen.alu", PassCore, 2)()
+	end := got.StartSpan(nil, "pass.core", PassCore, Coordinator).End
+	got.StartSpan(nil, "gen.alu", PassCore, 2).End()
 	end()
 	got.Lookup(nil, time.Millisecond, false)
 
@@ -117,7 +117,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Begin("gen.x", PassCore, w)()
+				tr.StartSpan(nil, "gen.x", PassCore, w).End()
 			}
 		}(w)
 	}

@@ -150,7 +150,7 @@ func main() {
 	if sresp.StatusCode != http.StatusCreated || sess.SessionID == "" {
 		fatal(fmt.Errorf("POST /session: status %d, id %q", sresp.StatusCode, sess.SessionID))
 	}
-	sessionCompile := func(text string) (hits, misses int64) {
+	sessionCompile := func(text string) (id string, hits, misses int64) {
 		resp, err := http.Post(base+"/session/"+sess.SessionID+"/compile", "text/plain", strings.NewReader(text))
 		if err != nil {
 			fatal(err)
@@ -161,7 +161,8 @@ func main() {
 			fatal(fmt.Errorf("session compile: status %d: %s", resp.StatusCode, body))
 		}
 		var sc struct {
-			Incr *struct {
+			RequestID string `json:"request_id"`
+			Incr      *struct {
 				Hits   int64 `json:"hits"`
 				Misses int64 `json:"misses"`
 			} `json:"incr"`
@@ -169,14 +170,14 @@ func main() {
 		if err := json.Unmarshal(body, &sc); err != nil || sc.Incr == nil {
 			fatal(fmt.Errorf("session compile response has no incr counters: %v", err))
 		}
-		return sc.Incr.Hits, sc.Incr.Misses
+		return sc.RequestID, sc.Incr.Hits, sc.Incr.Misses
 	}
 	sessionCompile(string(spec))
 	edited := strings.Replace(string(spec), "value=1", "value=13", 1)
 	if edited == string(spec) {
 		fatal(fmt.Errorf("spec %s has no value=1 constant to edit", *specPath))
 	}
-	hits, misses := sessionCompile(edited)
+	editID, hits, misses := sessionCompile(edited)
 	if hits == 0 || hits <= misses {
 		fatal(fmt.Errorf("session one-edit recompile: %d hits, %d misses (want mostly hits)", hits, misses))
 	}
@@ -185,6 +186,13 @@ func main() {
 		fatal(fmt.Errorf("DELETE /session/%s failed", sess.SessionID))
 	}
 	step("session one-edit recompile: %d artifact hits, %d misses", hits, misses)
+	srec, err := getJSON[flightrec.Record](base + "/debug/compiles/" + editID)
+	if err != nil {
+		fatal(err)
+	}
+	if srec.Allocs == nil || srec.Allocs[trace.PhaseTotal].Objects == 0 {
+		fatal(fmt.Errorf("session compile's flight record has no allocs: %+v", srec.Allocs))
+	}
 
 	// /metrics parses as Prometheus exposition and the compiler-core
 	// gauges reflect the compiles that just ran — including the session
@@ -224,8 +232,8 @@ func main() {
 			fatal(fmt.Errorf("/metrics bbd_pass_alloc_bytes_total{pass=%q} missing", pass))
 		}
 	}
-	if v, ok := labeled("bbd_pass_allocs_total", "pass", "core"); !ok || v <= 0 {
-		fatal(fmt.Errorf("/metrics bbd_pass_allocs_total{pass=core} = %v after a cold compile", v))
+	if v, ok := labeled("bbd_pass_seconds_total", "pass", "core"); !ok || v <= 0 {
+		fatal(fmt.Errorf("/metrics bbd_pass_seconds_total{pass=core} = %v after a cold compile", v))
 	}
 	for _, name := range []string{"bbd_runtime_goroutines", "bbd_runtime_heap_bytes", "bbd_runtime_alloc_objects_total"} {
 		if v, ok := page.Get(name); !ok || v <= 0 {
@@ -276,8 +284,13 @@ func main() {
 	if rec.TraceID != sc.TraceIDString() {
 		fatal(fmt.Errorf("flight record trace_id = %q, client injected %q", rec.TraceID, sc.TraceIDString()))
 	}
-	if rec.Allocs == nil || rec.Allocs.Total.Objects == 0 || rec.Allocs.Core.Objects == 0 {
+	if rec.Allocs == nil || rec.Allocs[trace.PhaseTotal].Objects == 0 || rec.Allocs[trace.PhaseCore].Objects == 0 {
 		fatal(fmt.Errorf("flight record has no per-pass alloc attribution: %+v", rec.Allocs))
+	}
+	// The cold compile is the only one counted in bbd_compiles_total, so
+	// it alone fed the per-phase families: the session compiles must not.
+	if v, _ := labeled("bbd_pass_allocs_total", "pass", "core"); v != float64(rec.Allocs[trace.PhaseCore].Objects) {
+		fatal(fmt.Errorf("/metrics bbd_pass_allocs_total{pass=core} = %v, the cold compile's record %d: session compiles moved it", v, rec.Allocs[trace.PhaseCore].Objects))
 	}
 	step("flight record has a complete span tree (%d spans), trace id, and alloc attribution", len(rec.Spans))
 
