@@ -235,6 +235,7 @@ func main() {
 		logger.Error("drain failed", "err", err)
 		os.Exit(1)
 	}
+	c.Close() // best effort: a record lost here is a later miss, never a wrong answer
 	logger.Info("drained cleanly")
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/desc"
+	"bristleblocks/internal/keylog"
 	"bristleblocks/internal/trace"
 )
 
@@ -54,8 +55,8 @@ func Key(spec *core.Spec, opts *core.Options) string {
 
 // Result is one cached compilation: the chip statistics plus the
 // representations a compile service returns (CIF mask set and the
-// text/block/logical views). It is the JSON schema of the disk layer, so
-// field changes must bump core.Version.
+// text/block/logical views). Its fields are the disk layer's frame (see
+// disk.go), so field changes must bump core.Version.
 type Result struct {
 	Key     string     `json:"key"`
 	Chip    string     `json:"chip"`
@@ -103,7 +104,7 @@ type Cache struct {
 	lru      *list.List // front = most recent; values are *entry
 	byKey    map[string]*list.Element
 
-	disk *diskStore // nil when no directory is configured
+	disk *keylog.Log // nil when no directory is configured
 
 	// peers is the farm shard tier (nil outside a farm). Set once via
 	// SetPeers before serving; read without synchronization afterwards.
@@ -119,7 +120,9 @@ type entry struct {
 
 // New returns a cache bounded to maxBytes of result payload in memory
 // (maxBytes <= 0 selects 256 MiB). dir, when non-empty, enables the
-// on-disk layer rooted there (created if needed).
+// on-disk layer rooted there (created if needed), which Close releases.
+// One process owns a cache directory: a second writer on it can only
+// cause misses, never a wrong answer.
 func New(maxBytes int64, dir string) (*Cache, error) {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
@@ -130,14 +133,18 @@ func New(maxBytes int64, dir string) (*Cache, error) {
 		byKey:    make(map[string]*list.Element),
 	}
 	if dir != "" {
-		ds, err := newDiskStore(dir)
+		l, err := keylog.Open(dir, logName)
 		if err != nil {
 			return nil, err
 		}
-		c.disk = ds
+		c.disk = l
 	}
 	return c, nil
 }
+
+// Close closes the disk layer's log, if any; the cache must not be used
+// afterwards.
+func (c *Cache) Close() error { return c.disk.Close() }
 
 // SetPeers attaches the farm shard tier. Call once, before serving; the
 // field is read lock-free on every lookup afterwards.
@@ -192,12 +199,13 @@ func (c *Cache) GetLocal(key string) (*Result, bool) {
 	}
 	c.mu.Unlock()
 
-	if c.disk != nil {
-		if res, ok := c.disk.get(key); ok {
+	if p, ok := c.disk.Get(key); ok {
+		if res, ok := decodeFrame(key, p); ok {
 			c.diskHits.Add(1)
 			c.insert(key, res)
 			return res, true
 		}
+		c.disk.Drop(key)
 	}
 	return nil, false
 }
@@ -218,7 +226,9 @@ func (c *Cache) Put(key string, res *Result) {
 func (c *Cache) PutLocal(key string, res *Result) {
 	c.insert(key, res)
 	if c.disk != nil {
-		c.disk.put(key, res) // best effort; disk errors don't fail the compile
+		if p, err := encodeFrame(res); err == nil {
+			c.disk.Put(key, p) // best effort; disk errors don't fail the compile
+		}
 	}
 }
 

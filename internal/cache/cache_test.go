@@ -2,8 +2,6 @@ package cache
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -107,77 +105,6 @@ func TestLRURecencyOrder(t *testing.T) {
 	}
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("refreshed entry was evicted")
-	}
-}
-
-func TestDiskLayerSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := New(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, _, err := c1.Compile(ctx, smallSpec(), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh cache over the same directory models a daemon restart: the
-	// memory layer is cold but the disk layer hits and promotes.
-	c2, err := New(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, cached, err := c2.Compile(ctx, smallSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
-		t.Fatal("restart lost the disk entry")
-	}
-	if res.Chip != smallSpec().Name || len(res.CIF) == 0 {
-		t.Fatal("disk entry came back incomplete")
-	}
-	cs := c2.Counters()
-	if cs.DiskHits != 1 {
-		t.Fatalf("disk hits = %d, want 1", cs.DiskHits)
-	}
-	// Promoted: the next Get must hit memory without touching disk.
-	key := Key(smallSpec(), nil)
-	if _, ok := c2.Get(key); !ok {
-		t.Fatal("disk hit was not promoted to memory")
-	}
-	if cs2 := c2.Counters(); cs2.DiskHits != 1 {
-		t.Fatalf("memory-layer get went to disk: %+v", cs2)
-	}
-}
-
-func TestDiskLayerIgnoresCorruptEntries(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key(smallSpec(), nil)
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("corrupt disk entry was served")
-	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); !os.IsNotExist(err) {
-		t.Fatal("corrupt disk entry was not removed")
-	}
-}
-
-func TestDiskStoreRefusesBadKeys(t *testing.T) {
-	ds, err := newDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"", "short", "../../../../etc/passwd", string(make([]byte, 64))} {
-		if err := ds.put(k, &Result{Key: k}); err == nil {
-			t.Fatalf("key %q was accepted", k)
-		}
 	}
 }
 

@@ -1,77 +1,51 @@
 package cache
 
 import (
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 )
 
-// diskStore is the persistent cache layer: one JSON file per key, written
-// atomically (temp file + rename) so a crashed daemon never leaves a
-// half-written entry that a restart would serve.
-type diskStore struct {
-	dir string
-}
+// The disk layer is one keylog, results.log, in the cache directory; each
+// record's payload is a frame: the small fields as Result JSON, then the
+// CIF and the four text views, each raw behind a 4-byte length.
+const logName = "results.log"
 
-func newDiskStore(dir string) (*diskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cache dir: %w", err)
+func encodeFrame(r *Result) ([]byte, error) {
+	meta, err := json.Marshal(&Result{Key: r.Key, Chip: r.Chip, Stats: r.Stats, TimesUS: r.TimesUS})
+	if err != nil {
+		return nil, err
 	}
-	return &diskStore{dir: dir}, nil
-}
-
-func (d *diskStore) path(key string) (string, bool) {
-	// Keys are hex SHA-256; anything else is refused rather than used as a
-	// path component.
-	if len(key) != 64 || strings.IndexFunc(key, func(r rune) bool {
-		return !(r >= '0' && r <= '9' || r >= 'a' && r <= 'f')
-	}) >= 0 {
-		return "", false
+	p := make([]byte, 0, 6*4+len(meta)+int(r.cost()))
+	p = appendSection(p, meta)
+	p = appendSection(p, r.CIF)
+	for _, s := range [...]string{r.Sticks, r.Text, r.Block, r.Logical} {
+		p = appendSection(p, s)
 	}
-	return filepath.Join(d.dir, key+".json"), true
+	return p, nil
 }
 
-func (d *diskStore) get(key string) (*Result, bool) {
-	p, ok := d.path(key)
-	if !ok {
+func appendSection[T string | []byte](p []byte, s T) []byte {
+	return append(binary.LittleEndian.AppendUint32(p, uint32(len(s))), s...)
+}
+
+// decodeFrame rebuilds the Result a frame holds, refusing a malformed
+// frame or one stored under another key.
+func decodeFrame(key string, p []byte) (*Result, bool) {
+	var sec [6][]byte
+	for i := range sec {
+		if len(p) < 4 || uint64(binary.LittleEndian.Uint32(p)) > uint64(len(p)-4) {
+			return nil, false
+		}
+		n := 4 + int(binary.LittleEndian.Uint32(p))
+		sec[i], p = p[4:n], p[n:]
+	}
+	res := new(Result)
+	if len(p) != 0 || json.Unmarshal(sec[0], res) != nil || res.Key != key {
 		return nil, false
 	}
-	data, err := os.ReadFile(p)
-	if err != nil {
-		return nil, false
+	res.Sticks, res.Text, res.Block, res.Logical = string(sec[2]), string(sec[3]), string(sec[4]), string(sec[5])
+	if len(sec[1]) > 0 {
+		res.CIF = append([]byte(nil), sec[1]...) // exact size: the read buffer is not kept
 	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil || res.Key != key {
-		// Corrupt or mismatched entry: drop it so it cannot be served again.
-		os.Remove(p)
-		return nil, false
-	}
-	return &res, true
-}
-
-func (d *diskStore) put(key string, res *Result) error {
-	p, ok := d.path(key)
-	if !ok {
-		return fmt.Errorf("cache: invalid key %q", key)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(d.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return res, true
 }

@@ -74,7 +74,7 @@ func Parse(src string) ([]*cell.Cell, error) {
 		if line == "" {
 			continue
 		}
-		toks, err := splitQuoted(line)
+		toks, err := SplitQuoted(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
@@ -321,7 +321,10 @@ func coords(ss []string, want int) ([]geom.Coord, error) {
 	return out, nil
 }
 
-func splitQuoted(line string) ([]string, error) {
+// SplitQuoted splits a line on spaces and tabs, honoring double quotes,
+// which it strips. It is the tokenizer of both text languages, CDL and
+// the chip description (internal/desc).
+func SplitQuoted(line string) ([]string, error) {
 	var toks []string
 	var cur strings.Builder
 	inQ := false

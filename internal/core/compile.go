@@ -299,7 +299,7 @@ func CoreOnly(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 func (c *Chip) enabledElements() []ElementSpec {
 	var out []ElementSpec
 	for _, e := range c.Spec.Elements {
-		if e.enabled(c.Spec.Globals) {
+		if e.Enabled(c.Spec.Globals) {
 			out = append(out, e)
 		}
 	}

@@ -97,6 +97,7 @@ func TestIncrementalDiskWarmsAcrossStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s1.Close() })
 	cold, err := CompileCtx(incr.WithStore(context.Background(), s1), testSpec(4), nil)
 	if err != nil {
 		t.Fatalf("cold compile: %v", err)
@@ -106,6 +107,7 @@ func TestIncrementalDiskWarmsAcrossStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s2.Close() })
 	warm, err := CompileCtx(incr.WithStore(context.Background(), s2), testSpec(4), nil)
 	if err != nil {
 		t.Fatalf("disk-warm compile: %v", err)

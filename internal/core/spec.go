@@ -69,8 +69,10 @@ func (e *ElementSpec) IntParam(key string, def int) (int, error) {
 	return n, nil
 }
 
-// enabled evaluates the element's conditional-assembly guard.
-func (e *ElementSpec) enabled(globals map[string]bool) bool {
+// Enabled evaluates the element's conditional-assembly guard: an element
+// with an OnlyIf guard is assembled only when the named global has the
+// wanted value.
+func (e *ElementSpec) Enabled(globals map[string]bool) bool {
 	if e.OnlyIf == "" {
 		return true
 	}

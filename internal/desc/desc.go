@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"bristleblocks/internal/bus"
+	"bristleblocks/internal/cdl"
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/decoder"
 )
@@ -52,7 +53,7 @@ func Parse(src string) (*core.Spec, error) {
 		if line == "" {
 			continue
 		}
-		toks, err := tokenize(line)
+		toks, err := cdl.SplitQuoted(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
@@ -195,7 +196,7 @@ func applyLine(spec *core.Spec, toks []string, sawMicro, sawData *bool) error {
 }
 
 // ident rejects names that would not survive a Format -> Parse round trip:
-// tokenize strips quotes and splits on whitespace, and Parse strips
+// cdl.SplitQuoted strips quotes and splits on whitespace, and Parse strips
 // unquoted comments, so identifiers must be non-empty words free of
 // whitespace and comment characters.
 func ident(what, s string) error {
@@ -214,34 +215,6 @@ func atoiTok(toks []string, i int) (int, error) {
 		return 0, fmt.Errorf("bad number %q", toks[i])
 	}
 	return n, nil
-}
-
-// tokenize splits on spaces, honoring double quotes (which may appear on
-// the value side of key=value tokens).
-func tokenize(line string) ([]string, error) {
-	var toks []string
-	var cur strings.Builder
-	inQ := false
-	for _, r := range line {
-		switch {
-		case r == '"':
-			inQ = !inQ
-		case (r == ' ' || r == '\t') && !inQ:
-			if cur.Len() > 0 {
-				toks = append(toks, cur.String())
-				cur.Reset()
-			}
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	if inQ {
-		return nil, fmt.Errorf("unterminated quote")
-	}
-	if cur.Len() > 0 {
-		toks = append(toks, cur.String())
-	}
-	return toks, nil
 }
 
 // inQuotes reports whether position i in line falls inside a quoted span.
@@ -312,7 +285,7 @@ func Format(spec *core.Spec) string {
 		for _, k := range keys {
 			v := e.Params[k]
 			if strings.ContainsAny(v, " \t#;") {
-				// Plain quotes, not %q: tokenize has no escape sequences,
+				// Plain quotes, not %q: SplitQuoted has no escape sequences,
 				// so backslashes must pass through literally. Quotes also
 				// shield comment characters from the line scanner.
 				fmt.Fprintf(&sb, " %s=\"%s\"", k, v)

@@ -10,8 +10,8 @@
 //
 // Entries live in a byte-budgeted in-memory LRU. Artifacts whose types
 // survive serialization (stretched cells: all-exported leaves) may also be
-// written through to an optional disk layer that mirrors internal/cache's
-// layout — one file per hex key, written atomically — so a restarted daemon
+// written through to an optional disk layer, the same keylog internal/cache
+// uses (artifacts.log in the store's directory), so a restarted daemon
 // warms up from disk.
 //
 // Keys carry a second identity, the group: the stable name of the slot the
@@ -33,6 +33,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"sync/atomic"
+
+	"bristleblocks/internal/keylog"
 )
 
 // Key returns the content address for one artifact: a hex SHA-256 over the
@@ -76,7 +78,7 @@ type Store struct {
 	// group can evict the stale variant and count the invalidation.
 	byGroup map[string]string
 
-	disk *diskStore // nil when no directory is configured
+	disk *keylog.Log // nil when no directory is configured
 
 	hits, misses, evictions, invalidations, diskHits atomic.Int64
 }
@@ -90,7 +92,7 @@ type entry struct {
 
 // New returns a store bounded to maxBytes of artifact cost in memory
 // (maxBytes <= 0 selects 64 MiB). dir, when non-empty, enables the on-disk
-// layer rooted there (created if needed).
+// layer rooted there (created if needed), which Close releases.
 func New(maxBytes int64, dir string) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
@@ -102,40 +104,34 @@ func New(maxBytes int64, dir string) (*Store, error) {
 		byGroup:  make(map[string]string),
 	}
 	if dir != "" {
-		ds, err := newDiskStore(dir)
+		l, err := keylog.Open(dir, "artifacts.log")
 		if err != nil {
 			return nil, err
 		}
-		s.disk = ds
+		s.disk = l
 	}
 	return s, nil
+}
+
+// Close closes the disk layer's log, if any; the store must not be used
+// afterwards. Nil-safe.
+func (s *Store) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.disk.Close()
 }
 
 // Get looks key up in the memory layer. The returned artifact is shared —
 // callers must treat it as immutable (clone what they intend to mutate).
 // Nil-safe: a nil store always misses without counting.
-func (s *Store) Get(key string) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		v := el.Value.(*entry).val
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return v, true
-	}
-	s.mu.Unlock()
-	s.misses.Add(1)
-	return nil, false
-}
+func (s *Store) Get(key string) (any, bool) { return s.GetDurable("", key, nil) }
 
 // GetDurable is Get with a disk fallback: on a memory miss it consults the
 // disk layer and, when the blob is present, decodes it via decode (which
 // returns the artifact and its memory cost) and promotes it into the
 // memory layer under group. Decode failures are treated as misses and the
-// blob is dropped. Nil-safe.
+// blob is dropped. A nil decode skips the disk layer. Nil-safe.
 func (s *Store) GetDurable(group, key string, decode func([]byte) (any, int64, error)) (any, bool) {
 	if s == nil {
 		return nil, false
@@ -150,15 +146,15 @@ func (s *Store) GetDurable(group, key string, decode func([]byte) (any, int64, e
 	}
 	s.mu.Unlock()
 
-	if s.disk != nil {
-		if blob, ok := s.disk.get(key); ok {
+	if decode != nil {
+		if blob, ok := s.disk.Get(key); ok {
 			if v, cost, err := decode(blob); err == nil {
 				s.hits.Add(1)
 				s.diskHits.Add(1)
 				s.insert(group, key, v, cost)
 				return v, true
 			}
-			s.disk.remove(key)
+			s.disk.Drop(key)
 		}
 	}
 	s.misses.Add(1)
@@ -168,24 +164,20 @@ func (s *Store) GetDurable(group, key string, decode func([]byte) (any, int64, e
 // Put stores an artifact in the memory layer under (group, key), charging
 // cost bytes against the LRU budget. A different key already holding the
 // group is invalidated (evicted and counted). Nil-safe no-op.
-func (s *Store) Put(group, key string, val any, cost int64) {
-	if s == nil {
-		return
-	}
-	s.insert(group, key, val, cost)
-}
+func (s *Store) Put(group, key string, val any, cost int64) { s.PutDurable(group, key, val, cost, nil) }
 
 // PutDurable is Put with disk write-through: encode renders the artifact
 // to the blob stored on disk (best effort — disk errors never fail a
-// compile). Without a disk layer it is exactly Put. Nil-safe no-op.
+// compile). Without a disk layer or an encode it is exactly Put. Nil-safe
+// no-op.
 func (s *Store) PutDurable(group, key string, val any, cost int64, encode func(any) ([]byte, error)) {
 	if s == nil {
 		return
 	}
 	s.insert(group, key, val, cost)
-	if s.disk != nil {
+	if s.disk != nil && encode != nil {
 		if blob, err := encode(val); err == nil {
-			s.disk.put(key, blob)
+			s.disk.Put(key, blob)
 		}
 	}
 }

@@ -151,6 +151,17 @@ func TestNilStoreIsInert(t *testing.T) {
 func encStr(v any) ([]byte, error)        { return []byte(v.(string)), nil }
 func decStr(b []byte) (any, int64, error) { return string(b), int64(len(b)) + 1, nil }
 
+// openStore opens a disk-backed store that the test closes when done.
+func openStore(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := New(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // TestDiskRoundTrip pins the durable layer: a write-through artifact
 // survives into a fresh store rooted at the same directory, counted as a
 // disk hit and promoted into memory.
@@ -158,16 +169,11 @@ func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	key := Key("stretch", "cell")
 
-	s1, err := New(1<<20, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := openStore(t, dir)
 	s1.PutDurable("st:cell", key, "payload", 8, encStr)
+	s1.Close()
 
-	s2, err := New(1<<20, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openStore(t, dir)
 	v, ok := s2.GetDurable("st:cell", key, decStr)
 	if !ok || v.(string) != "payload" {
 		t.Fatalf("disk round trip: got %v, %v", v, ok)
@@ -185,56 +191,67 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskRejectsCorruptBlob pins the self-identifying header: a tampered
-// file is a miss and is removed rather than served.
+// TestDiskRejectsCorruptBlob pins the payload checksum: a blob whose
+// bytes changed on disk is a miss, dropped rather than served, even to a
+// decoder that would accept any bytes.
 func TestDiskRejectsCorruptBlob(t *testing.T) {
 	dir := t.TempDir()
 	key := Key("x")
-	s, _ := New(1<<20, dir)
+	s := openStore(t, dir)
 	s.PutDurable("g", key, "good", 4, encStr)
+	s.Close()
 
-	p := filepath.Join(dir, key+".bin")
-	if err := os.WriteFile(p, []byte("garbage"), 0o644); err != nil {
+	p := filepath.Join(dir, "artifacts.log")
+	data, err := os.ReadFile(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := New(1<<20, dir)
-	if _, ok := fresh.GetDurable("g", key, decStr); ok {
-		t.Fatal("corrupt blob served")
+	data[len(data)-1] ^= 1 // "good" -> "goof"
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("corrupt blob not removed")
+	fresh := openStore(t, dir)
+	for i := 0; i < 2; i++ {
+		if v, ok := fresh.GetDurable("g", key, decStr); ok {
+			t.Fatalf("corrupt blob served: %q", v)
+		}
+	}
+	if c := fresh.Counters(); c.DiskHits != 0 || c.Misses != 2 {
+		t.Fatalf("counters = %+v, want 2 misses and no disk hit", c)
 	}
 }
 
 // TestDiskDecodeFailureDropsBlob pins the decode error path: a blob the
-// codec rejects is treated as a miss and dropped.
+// codec rejects is treated as a miss and dropped, so not even a codec that
+// would accept it is handed it again.
 func TestDiskDecodeFailureDropsBlob(t *testing.T) {
 	dir := t.TempDir()
 	key := Key("y")
-	s, _ := New(1<<20, dir)
+	s := openStore(t, dir)
 	s.PutDurable("g", key, "data", 4, encStr)
+	s.Close()
 
-	fresh, _ := New(1<<20, dir)
+	fresh := openStore(t, dir)
 	bad := func([]byte) (any, int64, error) { return nil, 0, errors.New("bad codec") }
 	if _, ok := fresh.GetDurable("g", key, bad); ok {
 		t.Fatal("undecodable blob served")
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".bin")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("undecodable blob not removed")
+	if _, ok := fresh.GetDurable("g", key, decStr); ok {
+		t.Fatal("undecodable blob not dropped")
 	}
 }
 
-// TestDiskRefusesNonHexKeys pins the path guard: only 64-hex keys become
-// filenames.
+// TestDiskRefusesNonHexKeys pins the key guard: only 64-hex keys are
+// written to the log.
 func TestDiskRefusesNonHexKeys(t *testing.T) {
-	d := &diskStore{dir: t.TempDir()}
+	s := openStore(t, t.TempDir())
 	for _, k := range []string{"", "short", "../../etc/passwd", Key("ok")[:63] + "G"} {
-		if _, ok := d.path(k); ok {
-			t.Fatalf("key %q accepted as a path", k)
+		if err := s.disk.Put(k, []byte("x")); err == nil {
+			t.Fatalf("key %q accepted", k)
 		}
 	}
-	if _, ok := d.path(Key("ok")); !ok {
-		t.Fatal("valid key refused")
+	if err := s.disk.Put(Key("ok"), []byte("x")); err != nil {
+		t.Fatalf("valid key refused: %v", err)
 	}
 }
 
@@ -243,6 +260,7 @@ func TestDiskRefusesNonHexKeys(t *testing.T) {
 // shape — under -race.
 func TestConcurrentAccess(t *testing.T) {
 	s, _ := New(4096, t.TempDir())
+	defer s.Close()
 	const goroutines = 32
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -67,7 +67,7 @@ func diffOutputs(label string, want, got Outputs) []string {
 //   - a cold compile through the cache layer (Render) must match a second,
 //     independent cold compile byte for byte, the in-memory hit must
 //     return the stored bytes unchanged, and when cacheDir is non-empty
-//     the result must survive the disk layer's JSON round trip intact;
+//     the result must survive the disk layer's frame round trip intact;
 //   - the cache's CIF rendering must equal the direct cif.Write output, so
 //     daemon responses and bristlec files are comparable bytes.
 //
@@ -146,12 +146,13 @@ func cacheLegs(spec *core.Spec, opts *core.Options, want Outputs, cacheDir strin
 	vs = append(vs, diffResults("cache hit-vs-cold", res1, res3)...)
 
 	// Disk layer: store through one cache, read through a fresh one rooted
-	// at the same directory; the JSON round trip must be lossless.
+	// at the same directory; the frame round trip must be lossless.
 	if cacheDir != "" {
 		dc1, err := cache.New(0, cacheDir)
 		if err != nil {
 			return append(vs, fmt.Sprintf("cache: disk layer: %v", err))
 		}
+		defer dc1.Close()
 		if _, _, err := dc1.Compile(ctx, spec, opts); err != nil {
 			return append(vs, fmt.Sprintf("cache: disk-backed compile failed: %v", err))
 		}
@@ -159,6 +160,7 @@ func cacheLegs(spec *core.Spec, opts *core.Options, want Outputs, cacheDir strin
 		if err != nil {
 			return append(vs, fmt.Sprintf("cache: disk layer: %v", err))
 		}
+		defer dc2.Close()
 		res4, ok := dc2.Get(cache.Key(spec, opts))
 		if !ok {
 			return append(vs, "cache: result did not survive the disk layer")

@@ -58,20 +58,16 @@ func (p *Writer) Gauge(name, help string, value float64) {
 // GaugeVec writes one gauge family with one sample per label value, in
 // sorted label order so the page is deterministic.
 func (p *Writer) GaugeVec(name, help, label string, values map[string]float64) {
-	p.header(name, help, "gauge")
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		p.printf("%s{%s=\"%s\"} %s\n", name, label, escapeLabel(k), formatValue(values[k]))
-	}
+	p.vec(name, help, "gauge", label, values)
 }
 
 // CounterVec writes one counter family with one sample per label value.
 func (p *Writer) CounterVec(name, help, label string, values map[string]float64) {
-	p.header(name, help, "counter")
+	p.vec(name, help, "counter", label, values)
+}
+
+func (p *Writer) vec(name, help, typ, label string, values map[string]float64) {
+	p.header(name, help, typ)
 	keys := make([]string, 0, len(values))
 	for k := range values {
 		keys = append(keys, k)

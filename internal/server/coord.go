@@ -44,7 +44,7 @@ type coordinator struct {
 	timeout time.Duration // bounds each load poll, not forwarded compiles
 
 	mu     sync.Mutex
-	states map[string]*workerState
+	states map[string]*workerState // one per worker, from construction
 }
 
 type workerState struct {
@@ -71,11 +71,15 @@ func newCoordinator(s *Server) (*coordinator, error) {
 	if timeout <= 0 {
 		timeout = cache.DefaultPeerTimeout
 	}
+	states := make(map[string]*workerState, len(workers))
+	for _, w := range workers {
+		states[w] = &workerState{}
+	}
 	return &coordinator{
 		s:       s,
 		workers: workers,
 		timeout: timeout,
-		states:  make(map[string]*workerState),
+		states:  states,
 		// No client-level timeout: forwarded compiles are bounded by the
 		// request context, which already carries the compile deadline.
 		client: &http.Client{Transport: &http.Transport{
@@ -94,10 +98,6 @@ func (c *coordinator) ranked() []string {
 	c.mu.Lock()
 	for _, w := range c.workers {
 		st := c.states[w]
-		if st == nil {
-			st = &workerState{}
-			c.states[w] = st
-		}
 		if now.Before(st.deadUntil) {
 			continue
 		}
@@ -128,7 +128,7 @@ func (c *coordinator) ranked() []string {
 	c.mu.Lock()
 	for _, w := range c.workers {
 		st := c.states[w]
-		if st == nil || now.Before(st.deadUntil) {
+		if now.Before(st.deadUntil) {
 			continue
 		}
 		live = append(live, cand{w, st.load})
@@ -151,10 +151,6 @@ func (c *coordinator) poll(w string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.states[w]
-	if st == nil {
-		st = &workerState{}
-		c.states[w] = st
-	}
 	if err != nil {
 		st.deadUntil = time.Now().Add(coordDeadFor)
 		c.s.metrics.coordPollErrors.Add(1)
@@ -193,10 +189,6 @@ func (c *coordinator) markDead(w string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.states[w]
-	if st == nil {
-		st = &workerState{}
-		c.states[w] = st
-	}
 	st.deadUntil = time.Now().Add(coordDeadFor)
 }
 

@@ -120,9 +120,11 @@ func TestSessionCompileAllReps(t *testing.T) {
 // DELETE retires, TTL expiry is lazy but effective, and capacity
 // displaces the least recently used session.
 func TestSessionLifecycle(t *testing.T) {
+	// No compile outlasts an hour, so no session here expires; expiry is
+	// pinned against explicit times by TestSessionTableTTL.
 	s, ts := newTestServer(t, Config{
 		Workers: 1, Parallelism: 1,
-		MaxSessions: 2, SessionTTL: 50 * time.Millisecond,
+		MaxSessions: 2, SessionTTL: time.Hour,
 	})
 
 	if resp, _ := postSpec(t, ts.URL+"/session/nope/compile", specText(0)); resp.StatusCode != http.StatusNotFound {
@@ -141,13 +143,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if resp, _ := postSpec(t, ts.URL+"/session/"+sr.SessionID+"/compile", specText(0)); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session compile = %d, want 404", resp.StatusCode)
-	}
-
-	// TTL: a session idle past the deadline is gone at next touch.
-	sr = openSession(t, ts.URL)
-	time.Sleep(80 * time.Millisecond)
-	if resp, _ := postSpec(t, ts.URL+"/session/"+sr.SessionID+"/compile?nopads=1", specText(0)); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("expired session compile = %d, want 404", resp.StatusCode)
 	}
 
 	// Capacity: the third session displaces the least recently used.
@@ -170,6 +165,37 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if _, _, _, active := s.sessions.totals(); active != 2 {
 		t.Fatalf("active sessions = %d, want 2", active)
+	}
+}
+
+// TestSessionTableTTL pins expiry on the table's own clock argument: a
+// session idle for exactly the TTL survives, one idle longer is retired at
+// the next lookup of any session, and a compile's touch restarts the
+// clock.
+func TestSessionTableTTL(t *testing.T) {
+	tab := newSessionTable(4, time.Minute, 1)
+	t0 := time.Unix(1_000_000, 0)
+	idle, err := tab.create(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := tab.create(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy.touch(t0.Add(50 * time.Second))
+
+	if _, ok := tab.get(idle.id, t0.Add(time.Minute)); !ok {
+		t.Fatal("session idle for exactly the TTL expired")
+	}
+	if _, ok := tab.get(busy.id, t0.Add(time.Minute+time.Second)); !ok {
+		t.Fatal("session touched within the TTL expired")
+	}
+	if _, ok := tab.get(idle.id, t0.Add(time.Minute+time.Second)); ok {
+		t.Fatal("session idle past the TTL is still served")
+	}
+	if _, created, expired, active := tab.totals(); created != 2 || expired != 1 || active != 1 {
+		t.Fatalf("created/expired/active = %d/%d/%d, want 2/1/1", created, expired, active)
 	}
 }
 

@@ -325,7 +325,7 @@ func (g *gen) buses(spec *core.Spec) {
 	}
 	n := 0
 	for _, e := range spec.Elements {
-		if elementEnabled(&e, spec.Globals) {
+		if e.Enabled(spec.Globals) {
 			n++
 		}
 	}
@@ -370,18 +370,4 @@ func (g *gen) buses(spec *core.Spec) {
 	}
 	addPartition(1 + g.intn(2)) // slot one: 1..2 segments
 	addPartition(1 + g.intn(3)) // slot two: 1..3 segments
-}
-
-// elementEnabled mirrors the compiler's conditional-assembly evaluation:
-// an element with an OnlyIf guard is assembled only when the named global
-// has the wanted value.
-func elementEnabled(e *core.ElementSpec, globals map[string]bool) bool {
-	if e.OnlyIf == "" {
-		return true
-	}
-	name, want := e.OnlyIf, true
-	if name[0] == '!' {
-		name, want = name[1:], false
-	}
-	return globals[name] == want
 }
