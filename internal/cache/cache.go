@@ -226,9 +226,12 @@ func (c *Cache) Put(key string, res *Result) {
 func (c *Cache) PutLocal(key string, res *Result) {
 	c.insert(key, res)
 	if c.disk != nil {
-		if p, err := encodeFrame(res); err == nil {
+		buf := framePool.Get().(*[]byte)
+		if p, err := appendFrame((*buf)[:0], res); err == nil {
 			c.disk.Put(key, p) // best effort; disk errors don't fail the compile
+			*buf = p
 		}
+		framePool.Put(buf)
 	}
 }
 

@@ -3,6 +3,8 @@ package cache
 import (
 	"encoding/binary"
 	"encoding/json"
+	"slices"
+	"sync"
 )
 
 // The disk layer is one keylog, results.log, in the cache directory; each
@@ -10,12 +12,15 @@ import (
 // CIF and the four text views, each raw behind a 4-byte length.
 const logName = "results.log"
 
-func encodeFrame(r *Result) ([]byte, error) {
+func encodeFrame(r *Result) ([]byte, error) { return appendFrame(nil, r) }
+
+// appendFrame appends r's frame to p.
+func appendFrame(p []byte, r *Result) ([]byte, error) {
 	meta, err := json.Marshal(&Result{Key: r.Key, Chip: r.Chip, Stats: r.Stats, TimesUS: r.TimesUS})
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	p := make([]byte, 0, 6*4+len(meta)+int(r.cost()))
+	p = slices.Grow(p, 6*4+len(meta)+int(r.cost()))
 	p = appendSection(p, meta)
 	p = appendSection(p, r.CIF)
 	for _, s := range [...]string{r.Sticks, r.Text, r.Block, r.Logical} {
@@ -23,6 +28,11 @@ func encodeFrame(r *Result) ([]byte, error) {
 	}
 	return p, nil
 }
+
+// framePool recycles frame buffers across disk puts. A buffer goes back
+// only after keylog.Put has returned, whose WriteAt is then done with it;
+// the log keeps offsets, never the payload.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 func appendSection[T string | []byte](p []byte, s T) []byte {
 	return append(binary.LittleEndian.AppendUint32(p, uint32(len(s))), s...)

@@ -2,6 +2,7 @@ package celllib
 
 import (
 	"fmt"
+	"slices"
 
 	"bristleblocks/internal/cell"
 	"bristleblocks/internal/geom"
@@ -13,9 +14,8 @@ import (
 
 // Composer assembles a new leaf cell by stamping proven sub-cells flat into
 // it (geometry copied, not referenced, so the result stays stretchable)
-// and drawing interconnect. Net names are rewritten per stamp: nets in the
-// rename map get their final names; everything else is prefixed with the
-// stamp name, keeping internal nets distinct across stamps.
+// and drawing interconnect. Every stamp goes through StampLeaf, the one
+// flat-stamping routine, its nets renamed by Rename as they are appended.
 type Composer struct {
 	c *cell.Cell
 }
@@ -29,29 +29,24 @@ func NewComposer(name string, size geom.Rect) *Composer {
 	return &Composer{c: c}
 }
 
-// Stamp copies sub's layout (transformed by t) into the composed cell,
-// renaming labels/nets: rename[oldNet] if present, else prefix+"."+oldNet.
-// The sub-cell's netlist and sticks merge under the same renaming; its
-// logic gates merge with internal nets prefixed.
-func (k *Composer) Stamp(prefix string, sub *cell.Cell, t geom.Transform, rename map[string]string) error {
+// StampLeaf copies leaf cell sub flat into dst through t: its boxes,
+// wires, polygons and labels into dst.Layout and its netlist into
+// dst.Netlist, every net name passing through final. sub is only read, so
+// one library leaf may be stamped by any number of compiles at once.
+func StampLeaf(dst, sub *cell.Cell, t geom.Transform, final func(string) string) error {
 	if !sub.Layout.IsLeaf() {
 		return fmt.Errorf("compose: stamp %q is not a leaf", sub.Name)
 	}
-	final := func(net string) string {
-		if n, ok := rename[net]; ok {
-			return n
-		}
-		return prefix + "." + net
-	}
-
-	lay := k.c.Layout
+	lay := dst.Layout
+	lay.Boxes = slices.Grow(lay.Boxes, len(sub.Layout.Boxes))
 	for _, b := range sub.Layout.Boxes {
 		lay.AddBox(b.Layer, t.ApplyRect(b.R))
 	}
 	for _, w := range sub.Layout.Wires {
-		pts := make([]geom.Point, len(w.Path))
-		for i, p := range w.Path {
-			pts[i] = t.Apply(p)
+		var buf [8]geom.Point
+		pts := buf[:0]
+		for _, p := range w.Path {
+			pts = append(pts, t.Apply(p))
 		}
 		lay.AddWire(w.Layer, w.Width, pts...)
 	}
@@ -63,36 +58,50 @@ func (k *Composer) Stamp(prefix string, sub *cell.Cell, t geom.Transform, rename
 	for _, lb := range sub.Layout.Labels {
 		lay.AddLabel(final(lb.Text), t.Apply(lb.At), lb.Layer)
 	}
-
 	if sub.Netlist != nil {
-		nl := sub.Netlist.Copy()
-		m := make(map[string]string)
-		for _, net := range nl.Nets() {
-			m[net] = final(net)
+		dst.Netlist.MergeRenamed(sub.Netlist, final)
+	}
+	return nil
+}
+
+// Rename is the stamp naming rule: rename[net] when present, else
+// prefix+"."+net, which keeps each stamp's internal nets distinct.
+func Rename(prefix string, rename map[string]string) func(string) string {
+	return func(net string) string {
+		if n, ok := rename[net]; ok {
+			return n
 		}
-		nl.Rename(m)
-		k.c.Netlist.Merge(nl)
+		return prefix + "." + net
+	}
+}
+
+// Stamp copies sub's layout (transformed by t) into the composed cell,
+// renaming labels/nets: rename[oldNet] if present, else prefix+"."+oldNet.
+// The sub-cell's netlist and sticks merge under the same renaming; its
+// logic gates merge with internal nets prefixed.
+func (k *Composer) Stamp(prefix string, sub *cell.Cell, t geom.Transform, rename map[string]string) error {
+	final := Rename(prefix, rename)
+	if err := StampLeaf(k.c, sub, t, final); err != nil {
+		return err
 	}
 	if sub.Logic != nil {
-		lg := sub.Logic.Copy()
-		m := make(map[string]string)
-		for _, g := range lg.Gates {
-			m[g.Output] = final(g.Output)
-			for _, in := range g.Inputs {
-				if in != "0" && in != "1" {
-					m[in] = final(in)
+		for _, g := range sub.Logic.Gates {
+			in := append([]string(nil), g.Inputs...)
+			for j, net := range in {
+				if net != "0" && net != "1" {
+					in[j] = final(net)
 				}
 			}
+			k.c.Logic.Gates = append(k.c.Logic.Gates, logic.Gate{Kind: g.Kind, Inputs: in, Output: final(g.Output)})
 		}
-		lg.Rename(m)
-		k.c.Logic.Gates = append(k.c.Logic.Gates, lg.Gates...)
 	}
 	if sub.Sticks != nil {
-		st := sub.Sticks.Transform(t)
-		for i := range st.Pins {
+		st := k.c.Sticks
+		n := len(st.Pins)
+		st.MergeTransformed(sub.Sticks, t)
+		for i := n; i < len(st.Pins); i++ {
 			st.Pins[i].Name = final(st.Pins[i].Name)
 		}
-		k.c.Sticks.Merge(st)
 	}
 	k.c.PowerUA += sub.PowerUA
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"bristleblocks/internal/cell"
@@ -31,8 +32,10 @@ func (c *Chip) globalNets() map[string]bool {
 		}
 		// Pad nets are global too.
 		for _, cc := range col.cells {
-			for _, b := range cc.BristlesBy(cell.PadReq) {
-				g[b.Net] = true
+			for _, b := range cc.Bristles {
+				if b.Flavor == cell.PadReq {
+					g[b.Net] = true
+				}
 			}
 		}
 	}
@@ -53,21 +56,18 @@ func (c *Chip) buildRepresentations() {
 
 	for _, col := range c.columns {
 		for r, cc := range col.cells {
-			inst := fmt.Sprintf("%s.%d", col.name, r)
+			row := strconv.Itoa(r)
 			t := geom.Translate(col.x-cc.Size.MinX, geom.Coord(r)*pitch-cc.Size.MinY)
 			if cc.Sticks != nil {
-				st.Merge(cc.Sticks.Transform(t))
+				st.MergeTransformed(cc.Sticks, t)
 			}
 			if cc.Netlist != nil {
-				sub := cc.Netlist.Copy()
-				m := make(map[string]string)
-				for _, n := range sub.Nets() {
-					if !globals[n] {
-						m[n] = inst + "." + n
+				nl.MergeRenamed(cc.Netlist, func(n string) string {
+					if globals[n] {
+						return n
 					}
-				}
-				sub.Rename(m)
-				nl.Merge(sub)
+					return col.name + "." + row + "." + n
+				})
 			}
 		}
 		// Logic is per column (each bit row repeats the same gates over
@@ -92,10 +92,10 @@ func (c *Chip) buildRepresentations() {
 		dec := c.Decoder.Layout.Cell
 		t := geom.Translate(0, c.Stats.CoreBounds.MaxY+geom.L(8))
 		if dec.Sticks != nil {
-			st.Merge(dec.Sticks.Transform(t))
+			st.MergeTransformed(dec.Sticks, t)
 		}
 		if dec.Netlist != nil {
-			nl.Merge(dec.Netlist.Copy())
+			nl.Merge(dec.Netlist)
 		}
 		lg.Merge(c.Decoder.Array.Logic())
 	}

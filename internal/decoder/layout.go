@@ -3,6 +3,8 @@ package decoder
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 
 	"bristleblocks/internal/cell"
 	"bristleblocks/internal/celllib"
@@ -113,15 +115,20 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 	c.Netlist = &transistor.Netlist{}
 	lay := c.Layout
 
-	termNet := func(r int) string { return fmt.Sprintf("t%d", r) }
-	litNet := func(i int) string { // column index -> net name
-		bit := inputs[i/2]
-		if i%2 == 0 {
-			return fmt.Sprintf("u%d", bit)
-		}
-		return fmt.Sprintf("nu%d", bit)
+	// Net names, formatted once each: term rows, literal columns (true,
+	// then complement, per used input) and output columns.
+	terms := make([]string, nTerm)
+	for r := range terms {
+		terms[r] = "t" + strconv.Itoa(r)
 	}
-	outNet := func(k int) string { return "plaout." + a.Controls[k].Name }
+	lits := make([]string, 0, 2*nIn)
+	for _, bit := range inputs {
+		lits = append(lits, "u"+strconv.Itoa(bit), "nu"+strconv.Itoa(bit))
+	}
+	outs := make([]string, nOut)
+	for k, sp := range a.Controls {
+		outs[k] = "plaout." + sp.Name
+	}
 
 	// ---- Term rows: term metal line, pullup strip, AND gnd rail (metal),
 	// OR gnd rail (diff), boundary tile, OR-plane term poly.
@@ -131,10 +138,10 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 		lay.AddBox(layer.Diff, geom.R(0, cy-l(2), l(pullupLen), cy+l(2)))
 		lay.AddBox(layer.Contact, geom.R(l(1), cy-l(1), l(3), cy+l(1)))
 		lay.AddBox(layer.Contact, geom.R(l(16), cy-l(1), l(18), cy+l(1)))
-		c.Netlist.AddDep("vdd", termNet(r), "vdd", l(2), l(2))
+		c.Netlist.AddDep("vdd", terms[r], "vdd", l(2), l(2))
 		// Term metal from the pullup to the boundary tile.
 		lay.AddBox(layer.Metal, geom.R(l(15), cy-l(2), g.orLeft+l(4), cy+l(2)))
-		lay.AddLabel(termNet(r), geom.Pt(l(30), cy), layer.Metal)
+		lay.AddLabel(terms[r], geom.Pt(l(30), cy), layer.Metal)
 		c.Sticks.AddSeg(layer.Metal, geom.Pt(l(15), cy), geom.Pt(g.orLeft, cy))
 		// AND-plane ground rail (metal) with a contact to the gnd strap.
 		lay.AddBox(layer.Metal, geom.R(l(gndStrapX-2), cy-l(9), g.andRight, cy-l(5)))
@@ -189,7 +196,7 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 		for i := 0; i < 2*nIn; i++ {
 			cx := g.colX(i)
 			lay.AddBox(layer.Poly, geom.R(cx-l(1), g.planesY, cx+l(1), g.driverY+l(2)))
-			lay.AddLabel(litNet(i), geom.Pt(cx, g.planesY+l(1)), layer.Poly)
+			lay.AddLabel(lits[i], geom.Pt(cx, g.planesY+l(1)), layer.Poly)
 			c.Sticks.AddSeg(layer.Poly, geom.Pt(cx, g.planesY), geom.Pt(cx, g.driverY))
 		}
 	}
@@ -207,7 +214,7 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 			}
 			cx := g.colX(col)
 			drawAndTx(lay, cx, cy)
-			c.Netlist.AddEnh(litNet(col), termNet(r), "gnd", l(2), l(2))
+			c.Netlist.AddEnh(lits[col], terms[r], "gnd", l(2), l(2))
 			c.Sticks.AddDot("enh", geom.Pt(cx-l(5), cy-l(3)))
 		}
 		for k := 0; k < nOut; k++ {
@@ -216,7 +223,7 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 			}
 			ox := g.outX(k)
 			drawOrTx(lay, ox, cy)
-			c.Netlist.AddEnh(termNet(r), outNet(k), "gnd", l(2), l(2))
+			c.Netlist.AddEnh(terms[r], outs[k], "gnd", l(2), l(2))
 			c.Sticks.AddDot("enh", geom.Pt(ox, cy))
 		}
 	}
@@ -242,7 +249,7 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 		ox := g.outX(k)
 		// Column metal from the buffer row to just under the pullup head.
 		lay.AddBox(layer.Metal, geom.R(ox-l(2), g.bufY+l(celllib.CtlBufHeight), ox+l(2), g.topY-l(2)))
-		lay.AddLabel(outNet(k), geom.Pt(ox, g.planesY-l(1)), layer.Metal)
+		lay.AddLabel(outs[k], geom.Pt(ox, g.planesY-l(1)), layer.Metal)
 		c.Sticks.AddSeg(layer.Metal, geom.Pt(ox, g.bufY+l(celllib.CtlBufHeight)), geom.Pt(ox, g.topY-l(2)))
 		// Pullup: diffusion from a contact on the column top, through the
 		// shared depletion gate, to a contact on the top rail.
@@ -251,12 +258,12 @@ func buildLayout(a *Array, ops []tm.Symbol, steps int, ctlX map[string]geom.Coor
 		lay.AddBox(layer.Diff, geom.R(ox-l(1), g.topY-l(2), ox+l(1), topRail))
 		lay.AddBox(layer.Diff, geom.R(ox-l(2), topRail, ox+l(2), topRail+l(4)))
 		lay.AddBox(layer.Contact, geom.R(ox-l(1), topRail+l(1), ox+l(1), topRail+l(3)))
-		c.Netlist.AddDep("vdd", outNet(k), "vdd", l(2), l(2))
+		c.Netlist.AddDep("vdd", outs[k], "vdd", l(2), l(2))
 	}
 
 	// The implementation continues in buildLayoutLower (buffer row, driver
 	// row, channel): split for readability.
-	lo, err := buildLayoutLower(a, c, g, inputs, ctlX, clockX)
+	lo, err := buildLayoutLower(a, c, g, inputs, lits, outs, ctlX, clockX)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +294,11 @@ func drawOrTx(lay *mask.Cell, ox, cy geom.Coord) {
 
 // buildLayoutLower adds the input driver row, the control buffer row, and
 // the control channel, then finalizes bristles.
-func buildLayoutLower(a *Array, c *cell.Cell, g *plaGeom, inputs []int, ctlX map[string]geom.Coord, clockX map[string][]geom.Coord) (*Layout, error) {
+func buildLayoutLower(a *Array, c *cell.Cell, g *plaGeom, inputs []int, lits, outs []string, ctlX map[string]geom.Coord, clockX map[string][]geom.Coord) (*Layout, error) {
+	bufs, err := bufTemplates()
+	if err != nil {
+		return nil, err
+	}
 	lay := c.Layout
 	out := &Layout{Cell: c, CtlX: make(map[string]geom.Coord), MicroX: make(map[int]geom.Coord)}
 
@@ -315,21 +326,23 @@ func buildLayoutLower(a *Array, c *cell.Cell, g *plaGeom, inputs []int, ctlX map
 		cc := g.colX(2*i + 1) // complement column
 		// True line continues to the north edge.
 		lay.AddBox(layer.Poly, geom.R(ct-l(1), base, ct+l(1), g.height))
-		net := fmt.Sprintf("u%d", bit)
+		net, nu := lits[2*i], lits[2*i+1]
 		lay.AddLabel(net, geom.Pt(ct, g.height-l(1)), layer.Poly)
 		out.MicroX[bit] = ct
 		c.AddBristle(cell.Bristle{
-			Name: fmt.Sprintf("micro%d", bit), Side: cell.North, Offset: ct,
+			Name: "micro" + strconv.Itoa(bit), Side: cell.North, Offset: ct,
 			Layer: layer.Poly, Width: l(2), Flavor: cell.PadReq,
 			Net: net, PadClass: "input",
 		})
 
 		// Inverter between the columns: input from the true line, output
 		// to the complement line.
-		inv := celllib.Inverter(fmt.Sprintf("drv%d", bit))
-		stampLeaf(c, inv, geom.Translate(ct+l(9), base+l(2)), map[string]string{
-			"in": net, "out": fmt.Sprintf("nu%d", bit), "gnd": "gnd", "vdd": "vdd",
-		})
+		err := celllib.StampLeaf(c, driverTemplate(), geom.Translate(ct+l(9), base+l(2)), celllib.Rename("drv"+strconv.Itoa(bit), map[string]string{
+			"in": net, "out": nu, "gnd": "gnd", "vdd": "vdd",
+		}))
+		if err != nil {
+			return nil, err
+		}
 		// The inverter's input poly spans [ct+3, ct+13] at base+8..10; a
 		// short branch reaches the true line.
 		lay.AddBox(layer.Poly, geom.R(ct-l(1), base+l(8), ct+l(3), base+l(10)))
@@ -348,17 +361,14 @@ func buildLayoutLower(a *Array, c *cell.Cell, g *plaGeom, inputs []int, ctlX map
 
 	// ---- Buffer row: one control buffer per output column.
 	for k, sp := range a.Controls {
-		buf, err := celllib.CtlBuf(sp.Name, sp.Phase)
-		if err != nil {
+		if sp.Phase != 1 && sp.Phase != 2 {
+			_, err := celllib.CtlBuf(sp.Name, sp.Phase)
 			return nil, err
 		}
 		bx := g.outX(k) - l(celllib.CtlBufInX)
-		stampLeaf(c, buf, geom.Translate(bx, g.bufY), map[string]string{
-			"plaout": "plaout." + sp.Name,
-			"n":      sp.Name + ".n",
-			"gnd":    "gnd", "vdd": "vdd", "phi1": "phi1", "phi2": "phi2",
-			sp.Name: sp.Name,
-		})
+		if err := celllib.StampLeaf(c, bufs[sp.Phase-1], geom.Translate(bx, g.bufY), ctlBufNets(sp.Name, outs[k])); err != nil {
+			return nil, err
+		}
 		// Rail and clock-track fillers in the gap to the next buffer.
 		gapLo := bx + l(celllib.CtlBufWidth)
 		gapHi := bx + l(orColPitch)
@@ -390,7 +400,6 @@ func buildLayoutLower(a *Array, c *cell.Cell, g *plaGeom, inputs []int, ctlX map
 		lay.AddLabel("phi2", geom.Pt(g.width-l(1), g.bufY+l(celllib.Phi2TrackLo+1)), layer.Poly)
 		c.AddBristle(cell.Bristle{Name: "phi1", Side: cell.East, Offset: g.bufY + l(celllib.Phi1TrackLo+12), Layer: layer.Poly, Width: l(2), Flavor: cell.PadReq, Net: "phi1", PadClass: "phi1"})
 		c.AddBristle(cell.Bristle{Name: "phi2", Side: cell.East, Offset: g.bufY + l(celllib.Phi2TrackLo+1), Layer: layer.Poly, Width: l(2), Flavor: cell.PadReq, Net: "phi2", PadClass: "phi2"})
-		_ = first
 	}
 
 	// ---- Control channel: route each buffer's south poly line to the
@@ -636,48 +645,38 @@ func routeChannel(lay *mask.Cell, topX, srcX, bufY, dstX, ty geom.Coord, name st
 	lay.AddLabel(name, geom.Pt(dstX, l(1)), layer.Poly)
 }
 
-// stampLeaf copies a leaf library cell's layout into lay with net renaming
-// (the decoder is assembled as one leaf for extraction simplicity).
-func stampLeaf(c *cell.Cell, sub *cell.Cell, t geom.Transform, rename map[string]string) {
-	lay := c.Layout
-	final := func(n string) string {
-		if r, ok := rename[n]; ok {
-			return r
-		}
-		return sub.Name + "." + n
-	}
-	for _, b := range sub.Layout.Boxes {
-		lay.AddBox(b.Layer, t.ApplyRect(b.R))
-	}
-	for _, w := range sub.Layout.Wires {
-		pts := make([]geom.Point, len(w.Path))
-		for i, p := range w.Path {
-			pts[i] = t.Apply(p)
-		}
-		lay.AddWire(w.Layer, w.Width, pts...)
-	}
-	for _, lb := range sub.Layout.Labels {
-		lay.AddLabel(final(lb.Text), t.Apply(lb.At), lb.Layer)
-	}
-	if sub.Netlist != nil {
-		c.Netlist.Merge(prefixNetlist(sub.Netlist, sub.Name, rename))
-	}
-}
+// ctlPlaceholder is the control net the buffer templates are drawn for.
+// It is not an identifier, so no spec control can be named it.
+const ctlPlaceholder = "\x00ctl"
 
-// prefixNetlist renames a sub-netlist: mapped nets get their final names,
-// others are prefixed.
-func prefixNetlist(nl *transistor.Netlist, prefix string, rename map[string]string) *transistor.Netlist {
-	out := nl.Copy()
-	m := make(map[string]string)
-	for _, n := range out.Nets() {
-		if r, ok := rename[n]; ok {
-			m[n] = r
-		} else {
-			m[n] = prefix + "." + n
+// The decoder's library leaves are built once per process, on the first
+// decoder layout, and only read afterwards: a leaf's geometry depends
+// only on its parameters (a buffer's on its phase), so every stamp copies
+// the same template and renames its nets on the way.
+var (
+	// bufTemplates are the φ1 and φ2 control buffers, for ctlPlaceholder.
+	bufTemplates = sync.OnceValues(func() (bufs [2]*cell.Cell, err error) {
+		for i := range bufs {
+			if bufs[i], err = celllib.CtlBuf(ctlPlaceholder, i+1); err != nil {
+				return bufs, err
+			}
 		}
-	}
-	out.Rename(m)
-	return out
+		return bufs, nil
+	})
+	// driverTemplate is the input-driver inverter.
+	driverTemplate = sync.OnceValue(func() *cell.Cell { return celllib.Inverter("drv") })
+)
+
+// ctlBufNets renames a buffer template's nets for control name to those
+// of celllib.CtlBuf(name, phase) stamped under its own cell name: the
+// decoder's map for a fresh buffer plus the placeholder. A name equal to
+// one of the buffer's nets joins that net, as it did in a fresh buffer.
+func ctlBufNets(name, plaout string) func(string) string {
+	return celllib.Rename("ctlbuf["+name+"]", map[string]string{
+		"plaout": plaout, "n": name + ".n",
+		"gnd": "gnd", "vdd": "vdd", "phi1": "phi1", "phi2": "phi2",
+		ctlPlaceholder: name, name: name,
+	})
 }
 
 // AreaSavedLambda2 reports the PLA area (λ²) the optimizer won: the

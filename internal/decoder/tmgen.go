@@ -76,7 +76,9 @@ type opGrid struct {
 
 func parseOps(ops []tm.Symbol) (*opGrid, error) {
 	g := &opGrid{andWidth: -1, orWidth: -1}
-	var row []tm.Symbol
+	// Rows are windows on one array with room for every op: it never moves.
+	cells := make([]tm.Symbol, 0, len(ops))
+	start := 0
 	andCount, orCount := 0, 0
 	inOr := false
 	for _, op := range ops {
@@ -85,7 +87,7 @@ func parseOps(ops []tm.Symbol) (*opGrid, error) {
 			if inOr {
 				return nil, fmt.Errorf("decoder: AND op after separator")
 			}
-			row = append(row, op)
+			cells = append(cells, op)
 			andCount++
 		case OpSep:
 			if inOr {
@@ -96,7 +98,7 @@ func parseOps(ops []tm.Symbol) (*opGrid, error) {
 			if !inOr {
 				return nil, fmt.Errorf("decoder: OR op before separator")
 			}
-			row = append(row, op)
+			cells = append(cells, op)
 			orCount++
 		case OpRow:
 			if !inOr {
@@ -108,10 +110,10 @@ func parseOps(ops []tm.Symbol) (*opGrid, error) {
 				return nil, fmt.Errorf("decoder: ragged PLA row (%d/%d vs %d/%d)",
 					andCount, orCount, g.andWidth, g.orWidth)
 			}
-			g.rows = append(g.rows, row)
-			row, andCount, orCount, inOr = nil, 0, 0, false
+			g.rows = append(g.rows, cells[start:len(cells):len(cells)])
+			start, andCount, orCount, inOr = len(cells), 0, 0, false
 		case OpEnd:
-			if len(row) != 0 || inOr {
+			if len(cells) != start || inOr {
 				return nil, fmt.Errorf("decoder: end op inside a row")
 			}
 			return g, nil

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bristleblocks/internal/incr"
@@ -34,21 +35,16 @@ const (
 )
 
 type session struct {
-	id      string
-	store   *incr.Store
-	created time.Time
-
-	mu       sync.Mutex
-	lastUsed time.Time
-	compiles int64
+	id    string
+	store *incr.Store
+	// lastUsed is the Unix-nanosecond time of the last compile (creation
+	// until then). A compile writes it holding no lock, and the table
+	// reads it under its own mutex for expiry and LRU displacement, so
+	// it is atomic.
+	lastUsed atomic.Int64
 }
 
-func (s *session) touch(now time.Time) {
-	s.mu.Lock()
-	s.lastUsed = now
-	s.compiles++
-	s.mu.Unlock()
-}
+func (s *session) touch(now time.Time) { s.lastUsed.Store(now.UnixNano()) }
 
 // sessionTable owns the live sessions and the retired-counter totals.
 type sessionTable struct {
@@ -91,7 +87,7 @@ func (t *sessionTable) create(now time.Time) (*session, error) {
 	if len(t.byID) >= t.max {
 		var lru *session
 		for _, s := range t.byID {
-			if lru == nil || s.lastUsed.Before(lru.lastUsed) {
+			if lru == nil || s.lastUsed.Load() < lru.lastUsed.Load() {
 				lru = s
 			}
 		}
@@ -101,11 +97,8 @@ func (t *sessionTable) create(now time.Time) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &session{
-		id:      obs.NewRequestID(),
-		store:   store,
-		created: now, lastUsed: now,
-	}
+	s := &session{id: obs.NewRequestID(), store: store}
+	s.touch(now)
 	t.byID[s.id] = s
 	t.created++
 	return s, nil
@@ -134,12 +127,16 @@ func (t *sessionTable) remove(id string) bool {
 
 func (t *sessionTable) expireLocked(now time.Time) {
 	for _, s := range t.byID {
-		if now.Sub(s.lastUsed) > t.ttl {
+		if now.UnixNano()-s.lastUsed.Load() > int64(t.ttl) {
 			t.retireLocked(s)
 		}
 	}
 }
 
+// retireLocked folds s's store counters into the retired totals and drops
+// s. A compile still running on s keeps counting into s.store: those hits
+// and misses reach that compile's own "incr" reply, but not the daemon's
+// bbd_incr_* totals, which took s's counters here.
 func (t *sessionTable) retireLocked(s *session) {
 	c := s.store.Counters()
 	t.retired.Hits += c.Hits

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,6 +167,36 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, _, _, active := s.sessions.totals(); active != 2 {
 		t.Fatalf("active sessions = %d, want 2", active)
 	}
+}
+
+// TestSessionConcurrentCompiles compiles on two sessions at once. Each
+// compile stamps its own session's last-use time while the other
+// session's lookup reads every session's for expiry, so under -race an
+// unsynchronized last-use time is reported here.
+func TestSessionConcurrentCompiles(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, Parallelism: 1, SessionTTL: time.Hour})
+	ids := []string{openSession(t, ts.URL).SessionID, openSession(t, ts.URL).SessionID}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				resp, err := http.Post(ts.URL+"/session/"+id+"/compile?nopads=1", "text/plain", strings.NewReader(specText(i%2)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("session %s compile %d = %d", id, i, resp.StatusCode)
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
 }
 
 // TestSessionTableTTL pins expiry on the table's own clock argument: a

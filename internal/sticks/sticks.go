@@ -6,6 +6,7 @@ package sticks
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -66,28 +67,25 @@ func (d *Diagram) Copy() *Diagram {
 
 // Transform returns the diagram mapped through t.
 func (d *Diagram) Transform(t geom.Transform) *Diagram {
-	out := &Diagram{
-		Segs: make([]Seg, len(d.Segs)),
-		Dots: make([]Dot, len(d.Dots)),
-		Pins: make([]Pin, len(d.Pins)),
-	}
-	for i, s := range d.Segs {
-		out.Segs[i] = Seg{s.Layer, t.Apply(s.A), t.Apply(s.B)}
-	}
-	for i, dot := range d.Dots {
-		out.Dots[i] = Dot{dot.Kind, t.Apply(dot.At)}
-	}
-	for i, p := range d.Pins {
-		out.Pins[i] = Pin{p.Name, t.Apply(p.At)}
-	}
+	out := &Diagram{}
+	out.MergeTransformed(d, t)
 	return out
 }
 
-// Merge appends the contents of other (already transformed) into d.
-func (d *Diagram) Merge(other *Diagram) {
-	d.Segs = append(d.Segs, other.Segs...)
-	d.Dots = append(d.Dots, other.Dots...)
-	d.Pins = append(d.Pins, other.Pins...)
+// MergeTransformed appends other's contents mapped through t.
+func (d *Diagram) MergeTransformed(other *Diagram, t geom.Transform) {
+	d.Segs = slices.Grow(d.Segs, len(other.Segs))
+	for _, s := range other.Segs {
+		d.Segs = append(d.Segs, Seg{s.Layer, t.Apply(s.A), t.Apply(s.B)})
+	}
+	d.Dots = slices.Grow(d.Dots, len(other.Dots))
+	for _, dot := range other.Dots {
+		d.Dots = append(d.Dots, Dot{dot.Kind, t.Apply(dot.At)})
+	}
+	d.Pins = slices.Grow(d.Pins, len(other.Pins))
+	for _, p := range other.Pins {
+		d.Pins = append(d.Pins, Pin{p.Name, t.Apply(p.At)})
+	}
 }
 
 // BBox returns the bounding box of the diagram's features.

@@ -55,7 +55,7 @@ func TestCopyAndMerge(t *testing.T) {
 		t.Error("Copy should isolate")
 	}
 	n := len(d.Segs)
-	d.Merge(cp)
+	d.MergeTransformed(cp, geom.Transform{})
 	if len(d.Segs) != n+len(cp.Segs) {
 		t.Error("Merge count wrong")
 	}

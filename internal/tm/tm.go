@@ -8,6 +8,7 @@ package tm
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Symbol is one tape cell. The empty string is reserved; use a machine's
@@ -79,8 +80,6 @@ type Tape struct {
 	blank Symbol
 	cells map[int]Symbol
 	pos   int
-	min   int
-	max   int
 }
 
 // NewTape builds a tape containing the given symbols starting at position
@@ -91,9 +90,6 @@ func NewTape(blank Symbol, contents []Symbol) *Tape {
 		if s != blank {
 			t.cells[i] = s
 		}
-	}
-	if len(contents) > 0 {
-		t.max = len(contents) - 1
 	}
 	return t
 }
@@ -112,12 +108,6 @@ func (t *Tape) Write(s Symbol) {
 		delete(t.cells, t.pos)
 	} else {
 		t.cells[t.pos] = s
-	}
-	if t.pos < t.min {
-		t.min = t.pos
-	}
-	if t.pos > t.max {
-		t.max = t.pos
 	}
 }
 
@@ -145,7 +135,7 @@ func (t *Tape) Contents() []Symbol {
 			hi = p
 		}
 	}
-	var out []Symbol
+	out := make([]Symbol, 0, hi-lo+1)
 	for p := lo; p <= hi; p++ {
 		if s, ok := t.cells[p]; ok {
 			out = append(out, s)
@@ -223,8 +213,12 @@ func (m *Machine) lookup(state State, r1, r2 Symbol) (Action, bool) {
 // character-oriented tapes.
 func Symbols(s string) []Symbol {
 	out := make([]Symbol, 0, len(s))
-	for _, r := range s {
-		out = append(out, Symbol(string(r)))
+	for i, r := range s {
+		if r == utf8.RuneError {
+			out = append(out, Symbol(string(r)))
+			continue
+		}
+		out = append(out, Symbol(s[i:i+utf8.RuneLen(r)])) // shares s: no allocation per rune
 	}
 	return out
 }

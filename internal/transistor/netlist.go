@@ -7,6 +7,7 @@ package transistor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,41 +81,35 @@ func (n *Netlist) Copy() *Netlist {
 	return &Netlist{Txs: append([]Tx(nil), n.Txs...)}
 }
 
-// Rename rewrites every net through the mapping; nets absent from the map
-// are unchanged.
-func (n *Netlist) Rename(m map[string]string) {
-	get := func(s string) string {
-		if r, ok := m[s]; ok {
-			return r
-		}
-		return s
-	}
-	for i := range n.Txs {
-		n.Txs[i].Gate = get(n.Txs[i].Gate)
-		n.Txs[i].Source = get(n.Txs[i].Source)
-		n.Txs[i].Drain = get(n.Txs[i].Drain)
-	}
-}
-
 // Merge appends other's transistors.
 func (n *Netlist) Merge(other *Netlist) {
 	n.Txs = append(n.Txs, other.Txs...)
 }
 
-// Nets returns the sorted set of net names referenced.
-func (n *Netlist) Nets() []string {
-	set := make(map[string]bool)
-	for _, t := range n.Txs {
-		set[t.Gate] = true
-		set[t.Source] = true
-		set[t.Drain] = true
+// MergeRenamed appends other's transistors, in order, with every net
+// rewritten to name(net). A small memo calls name once per distinct net
+// (leaf cells have at most a dozen), so a recurring net keeps one string.
+func (n *Netlist) MergeRenamed(other *Netlist, name func(string) string) {
+	var from, to [16]string
+	seen := 0
+	get := func(s string) string {
+		for i := 0; i < seen; i++ {
+			if from[i] == s {
+				return to[i]
+			}
+		}
+		r := name(s)
+		if seen < len(from) {
+			from[seen], to[seen] = s, r
+			seen++
+		}
+		return r
 	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	n.Txs = slices.Grow(n.Txs, len(other.Txs))
+	for _, t := range other.Txs {
+		t.Gate, t.Source, t.Drain = get(t.Gate), get(t.Source), get(t.Drain)
+		n.Txs = append(n.Txs, t)
 	}
-	sort.Strings(out)
-	return out
 }
 
 // Signature returns a canonical multiset string for structural comparison:

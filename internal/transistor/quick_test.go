@@ -67,14 +67,13 @@ func TestQuickGlobalSignatureRenameInvariant(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		count := int(n%8) + 1
 		a := randomNetlist(seed, count)
-		b := a.Copy()
-		m := map[string]string{}
-		for _, nn := range b.Nets() {
-			if !keep[nn] {
-				m[nn] = "renamed_" + nn
+		b := &Netlist{}
+		b.MergeRenamed(a, func(nn string) string {
+			if keep[nn] {
+				return nn
 			}
-		}
-		b.Rename(m)
+			return "renamed_" + nn
+		})
 		return a.GlobalSignature(keep) == b.GlobalSignature(keep)
 	}
 	if err := quick.Check(f, nil); err != nil {

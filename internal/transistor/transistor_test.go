@@ -1,6 +1,7 @@
 package transistor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,19 +37,30 @@ func TestNetlistSignatureAndEqual(t *testing.T) {
 	}
 }
 
-func TestNetlistRenameAndNets(t *testing.T) {
+func TestNetlistMergeRenamed(t *testing.T) {
 	n := &Netlist{}
-	n.AddEnh("a", "b", "c", 0, 0)
-	n.Rename(map[string]string{"a": "in", "c": "out"})
-	nets := n.Nets()
-	want := []string{"b", "in", "out"}
-	if len(nets) != len(want) {
-		t.Fatalf("nets = %v", nets)
+	n.AddDep("vdd", "vdd", "x", 0, 0)
+	sub := &Netlist{}
+	sub.AddEnh("a", "b", "c", 0, 0)
+	sub.AddEnh("c", "b", "a", 0, 0)
+	calls := 0
+	n.MergeRenamed(sub, func(s string) string {
+		calls++
+		return map[string]string{"a": "in", "c": "out"}[s] + "/" + s
+	})
+	want := []Tx{
+		{Kind: Dep, Gate: "vdd", Source: "vdd", Drain: "x"},
+		{Kind: Enh, Gate: "in/a", Source: "/b", Drain: "out/c"},
+		{Kind: Enh, Gate: "out/c", Source: "/b", Drain: "in/a"},
 	}
-	for i := range want {
-		if nets[i] != want[i] {
-			t.Errorf("nets = %v, want %v", nets, want)
-		}
+	if !reflect.DeepEqual(n.Txs, want) {
+		t.Fatalf("merged = %v, want %v", n.Txs, want)
+	}
+	if calls != 3 {
+		t.Errorf("name called %d times for 3 distinct nets", calls)
+	}
+	if sub.Txs[0].Gate != "a" {
+		t.Error("MergeRenamed rewrote its source netlist")
 	}
 }
 
@@ -227,8 +239,8 @@ func TestExtractUnlabeledNetsAreStable(t *testing.T) {
 	if n1.Signature(true) != n2.Signature(true) {
 		t.Error("extraction is not deterministic")
 	}
-	for _, nm := range n1.Nets() {
-		if nm == "" {
+	for _, tx := range n1.Txs {
+		if tx.Gate == "" || tx.Source == "" || tx.Drain == "" {
 			t.Error("empty net name")
 		}
 	}
