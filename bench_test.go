@@ -295,8 +295,8 @@ func benchRoutePass(b *testing.B, parallelism int) {
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 }
 
-// BenchmarkRouteSerial is Pass 3 with A* and the speculative pipeline
-// drained by a single worker.
+// BenchmarkRouteSerial is Pass 3 at -j 1: every rip-up attempt routes its
+// units serially, and the (moat, strategy) ladder runs on one worker.
 func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1) }
 
 // BenchmarkRoutePassRejected is Pass 3 at -j 1 over ForPads specs it
@@ -328,9 +328,11 @@ func BenchmarkRoutePassRejected(b *testing.B) {
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 }
 
-// BenchmarkRouteParallel is A* routing with speculative net fan-out on a
-// GOMAXPROCS-wide pool. Compare pads-ms against BenchmarkRouteSerial for
-// what the fan-out buys on this machine.
+// BenchmarkRouteParallel is Pass 3 with a GOMAXPROCS-wide pool: units
+// still route serially, and only a spec whose first (moat, strategy) combo
+// fails races the rest of the ladder. Accepted chips rarely reach the
+// race, so pads-ms should match BenchmarkRouteSerial's; the difference is
+// what the wider pool costs or buys on this machine.
 func BenchmarkRouteParallel(b *testing.B) { benchRoutePass(b, 0) }
 
 // BenchmarkRouteParallelJ8 pins the pool width to 8 regardless of the

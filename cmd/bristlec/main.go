@@ -86,7 +86,7 @@ func main() {
 	verifySV := flag.String("verify", "", "scenario file (.sv) to grade against the compiled chip; exits 3 if any vector fails")
 	plotPath := flag.String("plot", "", "write a PNG check plot of the chip to this path")
 	padsIn := flag.String("pads", "", "preset I/O element pads before -run, e.g. io=0xC8 (comma separated)")
-	jobs := flag.Int("j", 0, "worker pool size for Pass 1's element fan-out and Pass 3's speculative routing (0 = GOMAXPROCS, 1 = serial; output is identical at every width)")
+	jobs := flag.Int("j", 0, "worker pool size for Pass 1's element fan-out and Pass 3's rip-up ladder race (0 = GOMAXPROCS, 1 = serial; output is identical at every width)")
 	showTrace := flag.Bool("trace", false, "print the compile trace (per-pass and per-element spans)")
 	traceOut := flag.String("trace-out", "", "write the compile trace as Chrome trace_event JSON to this path")
 	watch := flag.Bool("watch", false, "poll the spec file and recompile on every change, reusing unchanged cells from a warm artifact store")

@@ -1,13 +1,12 @@
 // Determinism tests: the parallel fan-outs — Pass 1's per-column
-// pipeline and Pass 3's speculative net routing (wave snapshots, commit
-// in routing order, moat×strategy attempts raced to the lowest-index
-// winner) — must be invisible in the output. Every spec in
-// examples/chips is compiled serially (Parallelism=1) and on a wide
-// pool, and the CIF mask set, sticks diagram, and statistics report
-// (including the route conflict/retry counters) are required to be
-// byte-identical — the property that lets the compile cache share one
-// entry across pool sizes and lets a bug report reproduce exactly
-// regardless of the machine.
+// pipeline and Pass 3's rip-up ladder race (moat×strategy combos raced to
+// the lowest-index winner; each combo routes its units serially) — must
+// be invisible in the output. Every spec in examples/chips is compiled
+// serially (Parallelism=1) and on a wide pool, and the CIF mask set,
+// sticks diagram, and statistics report (including the route counters)
+// are required to be byte-identical — the property that lets the compile
+// cache share one entry across pool sizes and lets a bug report reproduce
+// exactly regardless of the machine.
 package bristleblocks_test
 
 import (

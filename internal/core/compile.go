@@ -20,6 +20,7 @@ import (
 	"bristleblocks/internal/logic"
 	"bristleblocks/internal/mask"
 	"bristleblocks/internal/pads"
+	"bristleblocks/internal/pool"
 	"bristleblocks/internal/power"
 	"bristleblocks/internal/sim"
 	"bristleblocks/internal/sticks"
@@ -48,11 +49,11 @@ type Options struct {
 	// timing ablation).
 	SkipExtraReps bool
 	// Parallelism bounds the worker pools of Pass 1's element fan-out and
-	// Pass 3's speculative net routing: 0 (the default) selects
-	// GOMAXPROCS, 1 runs the serial paths. The compiled chip is
-	// byte-identical at every setting — Pass 1's fan-in reassembles in
-	// column order, and Pass 3 commits speculative routes in routing
-	// order — so this knob is deliberately excluded from the compile
+	// Pass 3's rip-up ladder race: 0 (the default) selects GOMAXPROCS, 1
+	// runs the serial paths. The compiled chip is byte-identical at every
+	// setting — Pass 1's fan-in reassembles in column order, and the
+	// ladder race returns the lowest-index (moat, strategy) combo that
+	// routes — so this knob is deliberately excluded from the compile
 	// cache key.
 	Parallelism int
 }
@@ -89,14 +90,17 @@ type Stats struct {
 	ControlJoins          int // poly fillers joining core control/clock lines to the decoder
 	PadRequests           int // connection points handed to Pass 3's Roto-Router
 
-	// Pass 3 routing counters (pads.RouteStats): the speculative routing
-	// pipeline runs at every Parallelism, so these too are deterministic
-	// for a given (spec, options) pair at every pool size.
-	RouteNets          int64 // routing units committed across all rip-up attempts
-	RouteConflicts     int64 // speculative routes invalidated by an earlier commit
-	RouteRetries       int64 // serial re-routes that repaired discarded speculation
-	RouteCellsExpanded int64 // cells the committed searches expanded
-	RouteFrontierPeak  int64 // widest frontier any committed search reached
+	// Pass 3 routing counters (pads.RouteStats), deterministic for a given
+	// (spec, options) pair at every pool size.
+	RouteNets          int64 // routing units routed across all rip-up attempts
+	RouteCellsExpanded int64 // cells the searches expanded
+	RouteFrontierPeak  int64 // widest frontier any search reached
+	// RouteConflicts and RouteRetries are always 0: Pass 3 routes
+	// serially, so no route is ever discarded or retried. They stay only
+	// because bbdbench's per-layer replay still reads them, and go with
+	// that replay.
+	RouteConflicts int64
+	RouteRetries   int64
 }
 
 // Chip is the compilation result carrying all representations.
@@ -143,7 +147,7 @@ type Chip struct {
 // Version identifies the compiler for content-addressed caching: any
 // change that can alter the compiled output for the same (spec, options)
 // pair must bump it, or cache layers will serve stale results.
-const Version = "bristleblocks-7"
+const Version = "bristleblocks-8"
 
 // Compile runs the three-pass silicon compiler on the specification.
 func Compile(spec *Spec, opts *Options) (*Chip, error) {
@@ -242,8 +246,6 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 		if b.Span != nil {
 			b.Span.Attr("pad_requests", strconv.Itoa(chip.Stats.PadRequests)).
 				Attr("route_nets", strconv.FormatInt(chip.Stats.RouteNets, 10)).
-				Attr("route_conflicts", strconv.FormatInt(chip.Stats.RouteConflicts, 10)).
-				Attr("route_retries", strconv.FormatInt(chip.Stats.RouteRetries, 10)).
 				Attr("route_cells_expanded", strconv.FormatInt(chip.Stats.RouteCellsExpanded, 10))
 		}
 		b.End()
@@ -361,10 +363,10 @@ func (c *Chip) corePass(ctx context.Context) error {
 	// (cloned: private column structs and models over shared immutable
 	// cells) instead of regenerating.
 	store := incr.FromContext(ctx)
-	workers := poolSize(c.Options.Parallelism, len(elems))
+	workers := pool.Size(c.Options.Parallelism, len(elems))
 	perElem := make([][]*column, len(elems))
 	perElemKey := make([]string, len(elems))
-	err = runIndexed(ctx, workers, len(elems), func(worker, i int) error {
+	err = pool.RunIndexed(ctx, workers, len(elems), func(worker, i int) error {
 		e := elems[i]
 		var sp *trace.Active
 		if tr != nil { // untraced: build no span name
@@ -505,7 +507,7 @@ func (c *Chip) corePass(ctx context.Context) error {
 	// below is order-independent, so the stat is deterministic at every
 	// pool width.
 	deltas := make([]geom.Coord, len(uniq))
-	err = runIndexed(ctx, workers, len(uniq), func(worker, i int) error {
+	err = pool.RunIndexed(ctx, workers, len(uniq), func(worker, i int) error {
 		u := uniq[i]
 		var sp *trace.Active
 		if tr != nil { // untraced: build no span name or attributes
@@ -827,7 +829,7 @@ func (c *Chip) padPass(ctx context.Context) error {
 	}
 	// Like the decoder, the pad ring is one memoizable unit: same bounds
 	// and request list mean a byte-identical ring (Parallelism changes only
-	// speculation, never the committed routes). The cached Ring is read-only
+	// how the rip-up ladder is scheduled). The cached Ring is read-only
 	// downstream, so it is served without cloning.
 	store := incr.FromContext(ctx)
 	evenPads := c.Options.EvenPads || c.Spec.EvenPads
@@ -862,8 +864,6 @@ func (c *Chip) padPass(ctx context.Context) error {
 	c.Stats.PadCount = ring.PadCount
 	c.Stats.WireLen = ring.TotalWireLen
 	c.Stats.RouteNets = ring.RouteStats.Nets
-	c.Stats.RouteConflicts = ring.RouteStats.Conflicts
-	c.Stats.RouteRetries = ring.RouteStats.Retries
 	c.Stats.RouteCellsExpanded = ring.RouteStats.CellsExpanded
 	c.Stats.RouteFrontierPeak = ring.RouteStats.FrontierPeak
 	return nil

@@ -96,9 +96,9 @@ func TestHarnessDifferential(t *testing.T) {
 }
 
 // TestHarnessPadsDifferential is the Pass 3 leg: pads-enabled compiles of
-// ForPads specs must be byte-identical across pool sizes — the router's
-// speculative net fan-out, wave snapshots, and moat×strategy racing all
-// have to be invisible in the mask set and the statistics.
+// ForPads specs must be byte-identical across pool sizes — the rip-up
+// ladder's moat×strategy race has to be invisible in the mask set and
+// the statistics.
 func TestHarnessPadsDifferential(t *testing.T) {
 	jobs := harnessJobs(t)
 	cacheDir := t.TempDir()

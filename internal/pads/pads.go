@@ -15,10 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -28,16 +26,7 @@ import (
 	"bristleblocks/internal/mask"
 	"bristleblocks/internal/pool"
 	"bristleblocks/internal/route"
-	"bristleblocks/internal/trace"
 )
-
-// routeWave is the number of routing units speculated per wave. A
-// constant (never derived from Options.Parallelism): the wave boundaries
-// shape the committed wires, and they must be identical at every pool
-// size for Pass 3's output to be parallelism-invariant. Small enough that
-// intra-wave collisions stay rare in a crowded moat, large enough to keep
-// a full pool busy.
-const routeWave = 16
 
 // Request is one pad-needing connection point, in chip coordinates.
 type Request struct {
@@ -89,24 +78,18 @@ type Ring struct {
 	RouteStats RouteStats
 }
 
-// RouteStats counts Pass 3's routing work. The speculative pipeline runs
-// at every Options.Parallelism — a single worker just drains it serially —
-// so every counter is a pure function of the input, and the determinism
-// tests may compare them across pool sizes. The counters report the
-// serial ladder's work, rip-up attempts replayed from the memo included,
-// not the cells the CPU actually expanded.
+// RouteStats counts Pass 3's routing work. Every counter is a pure
+// function of the input, the same at every Options.Parallelism, so the
+// determinism tests may compare them across pool sizes. The counters
+// report the serial ladder's work, rip-up attempts replayed from the memo
+// included, not the cells the CPU actually expanded.
 type RouteStats struct {
-	// Nets is the number of routing units committed (one unit = one pad's
-	// net with all its branch targets), including units of failed rip-up
-	// attempts that committed before the failure.
+	// Nets is the number of routing units routed (one unit = one pad's net
+	// with all its branch targets), including units of failed rip-up
+	// attempts that routed before the failure.
 	Nets int64
-	// Conflicts counts speculative routes invalidated by an earlier unit's
-	// commit; Retries counts the serial re-routes that repaired them (a
-	// discarded speculative result always re-routes on the live grid).
-	Conflicts int64
-	Retries   int64
-	// CellsExpanded and FrontierPeak summarize the committed searches (see
-	// route.SearchStats); discarded speculative work is not counted.
+	// CellsExpanded and FrontierPeak summarize the searches (see
+	// route.SearchStats).
 	CellsExpanded int64
 	FrontierPeak  int64
 }
@@ -122,8 +105,6 @@ func (s *RouteStats) add(o route.SearchStats) {
 // merge folds another attempt's stats into s (FrontierPeak by max).
 func (s *RouteStats) merge(o RouteStats) {
 	s.Nets += o.Nets
-	s.Conflicts += o.Conflicts
-	s.Retries += o.Retries
 	s.CellsExpanded += o.CellsExpanded
 	if o.FrontierPeak > s.FrontierPeak {
 		s.FrontierPeak = o.FrontierPeak
@@ -147,7 +128,8 @@ type Options struct {
 	// blocks of different widths), while the ring is still sized around
 	// the bounds passed to Build. Requests should carry Outward hints.
 	Obstacles []geom.Rect
-	// Parallelism bounds the speculative routing pool (<=0 = GOMAXPROCS).
+	// Parallelism bounds the pool that races the rip-up ladder's (moat,
+	// strategy) combos once the first combo fails (<=0 = GOMAXPROCS).
 	// Output is byte-identical at every value.
 	Parallelism int
 }
@@ -174,9 +156,9 @@ func Build(coreBounds geom.Rect, reqs []Request, opts *Options) (*Ring, error) {
 	return BuildCtx(context.Background(), coreBounds, reqs, opts)
 }
 
-// BuildCtx is Build with cancellation and tracing: the context is checked
-// between rip-up attempts and inside the speculative routing fan-out, and
-// a trace.Trace on the context receives one span per routed net.
+// BuildCtx is Build with cancellation: the context is checked between
+// rip-up attempts and before each routed unit, so a cancelled compile
+// stops mid-attempt.
 func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options) (*Ring, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -205,15 +187,14 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 	}
 
 	// Combos are independent (each builds its own ring from scratch), so
-	// they run speculatively on a bounded pool. The result is the
-	// lowest-index combo that succeeds — exactly what trying them one by
-	// one would return — and the accumulated RouteStats cover exactly the
-	// combos a serial loop would have run (index ≤ winner); combos past
-	// the winner are cancelled and their stats discarded. Dispatch order,
-	// the winner rule and the stats merge are all index-driven, so output
-	// and stats are identical at every Parallelism (at one worker the loop
-	// below IS the serial loop: it stops dispatching past the first
-	// success).
+	// they race on a bounded pool. The result is the lowest-index combo
+	// that succeeds — exactly what trying them one by one would return —
+	// and the accumulated RouteStats cover exactly the combos a serial loop
+	// would have run (index ≤ winner); combos past the winner are cancelled
+	// and their stats discarded. Dispatch order, the winner rule and the
+	// stats merge are all index-driven, so output and stats are identical
+	// at every Parallelism (at one worker the loop below IS the serial
+	// loop: it stops dispatching past the first success).
 	type comboOut struct {
 		ring *Ring
 		err  error
@@ -221,36 +202,30 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 	}
 	n := len(combos)
 	outs := make([]*comboOut, n)
-	jctx := make([]context.Context, n)
-	jcancel := make([]context.CancelFunc, n)
-	for j := range combos {
-		jctx[j], jcancel[j] = context.WithCancel(ctx)
-	}
-	defer func() {
-		for _, c := range jcancel {
-			c()
-		}
-	}()
-	var (
-		next   = int32(1) // combo 0 runs inline below
-		winner = int32(n)
-		wg     sync.WaitGroup
-	)
-	runCombo := func(j int, bufs *routeBufs) *comboOut {
+	runCombo := func(ctx context.Context, j int, bufs *routeBufs) *comboOut {
 		out := &comboOut{}
-		out.ring, out.err = buildAttemptStrategy(jctx[j], coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs, bufs)
+		out.ring, out.err = buildAttemptStrategy(ctx, coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs, bufs)
 		outs[j] = out
 		return out
 	}
-	// Combo 0 runs first, alone: in the common case it succeeds, the other
-	// combos never start, and the pool's whole width was available to its
-	// internal wave speculation. Only a combo-0 failure fans the rest of
-	// the grid out to race — a failure means the ladder is hard, and
-	// overlapping the surviving combos is where racing actually pays.
-	// Each ladder worker owns one routeBufs for every combo it runs; the
-	// first worker inherits combo 0's.
+	// Combo 0 runs first, alone, on the caller's context: in the common
+	// case it succeeds and the other combos never start. Only a combo-0
+	// routing failure fans the rest of the grid out to race — a failure
+	// means the ladder is hard, and overlapping the surviving combos is
+	// where racing actually pays. Each ladder worker owns one routeBufs for
+	// every combo it runs; the first worker inherits combo 0's.
 	first := &routeBufs{}
-	if runCombo(0, first).err != nil && n > 1 {
+	if runCombo(ctx, 0, first).err != nil && n > 1 && ctx.Err() == nil {
+		jctx := make([]context.Context, n)
+		jcancel := make([]context.CancelFunc, n)
+		for j := 1; j < n; j++ {
+			jctx[j], jcancel[j] = context.WithCancel(ctx)
+		}
+		var (
+			next   = int32(1) // combo 0 already ran
+			winner = int32(n)
+			wg     sync.WaitGroup
+		)
 		workers := pool.Size(opts.Parallelism, n-1)
 		for w := 0; w < workers; w++ {
 			bufs := first
@@ -265,7 +240,7 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 					if j >= n || int32(j) > atomic.LoadInt32(&winner) {
 						return
 					}
-					out := runCombo(j, bufs)
+					out := runCombo(jctx[j], j, bufs)
 					if out.err == nil {
 						for {
 							cur := atomic.LoadInt32(&winner)
@@ -283,6 +258,9 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 			}()
 		}
 		wg.Wait()
+		for _, c := range jcancel[1:] {
+			c()
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -310,34 +288,30 @@ func buildAttempt(coreBounds geom.Rect, reqs []Request, opts *Options, moat geom
 	return buildAttemptStrategy(context.Background(), coreBounds, reqs, opts, moat, 0, &rs, &routeBufs{})
 }
 
-// routeBufs is one ladder worker's routing state: the master grid its
-// attempts route on and the clones its speculation routes on (the first
-// clone searches with the master's scratch, the others with their own).
-// The worker reuses them for every combo and rip-up attempt it runs, and
-// they grow to the largest grid it meets. A routeBufs belongs to exactly
-// one goroutine at a time (its speculation's clones to one pool worker
-// each), so nothing guards it.
+// routeBufs is one ladder worker's routing grid. The worker reuses it for
+// every combo and rip-up attempt it runs, and it grows to the largest grid
+// the worker meets. A routeBufs belongs to exactly one goroutine at a
+// time, so nothing guards it.
 type routeBufs struct {
-	master *route.Router
-	clones []*route.Router
+	router *route.Router
 }
 
-// grid returns the worker's master router re-gridded over region at the
-// routing pitch, allocating it on first use.
+// grid returns the worker's router re-gridded over region at the routing
+// pitch, allocating it on first use.
 func (b *routeBufs) grid(region geom.Rect) (*route.Router, error) {
 	// 14λ pitch: even a wire pinned to one edge of its cell (off-grid
 	// endpoints) keeps 3λ of metal spacing from a wire centered in the
 	// neighboring cell.
 	pitch := geom.L(14)
-	if b.master == nil {
+	if b.router == nil {
 		r, err := route.New(region, pitch)
 		if err != nil {
 			return nil, err
 		}
-		b.master = r
+		b.router = r
 		return r, nil
 	}
-	return b.master, b.master.Reshape(region, pitch)
+	return b.router, b.router.Reshape(region, pitch)
 }
 
 func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord, strategy int, rs *RouteStats, bufs *routeBufs) (*Ring, error) {
@@ -420,7 +394,7 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	// attempt that routes sets the grid up and checkpoints it, and every
 	// later attempt rewinds to the checkpoint instead of redoing the setup.
 	var grid *route.Router
-	routeOrder := func(order []int, rs *RouteStats, speculate bool) ([]Wire, error) {
+	routeOrder := func(order []int, rs *RouteStats) ([]Wire, error) {
 		if grid == nil {
 			g, err := bufs.grid(bounds.Inset(-geom.L(4)))
 			if err != nil {
@@ -432,35 +406,27 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 		} else {
 			grid.Reset()
 		}
-		return routeAll(ctx, grid, bounds, coreBounds, band, placements, order, extra, opts, rs, bufs, speculate)
+		return routeAll(ctx, grid, bounds, coreBounds, band, placements, order, extra, rs)
 	}
 	fails := make([]int, len(placements)) // rip-up count per placement
 	order := baseOrder
 	var rng *rand.Rand // seeded on its first shuffle: most ladders never shuffle
-	// Rip-up memo. A serial attempt starts from the same grid every time
-	// and stops at its first failing unit, so its outcome — error and
-	// stats alike — is a function of order[:pos+1] alone. An order that
-	// starts with a recorded failing prefix replays that failure instead
-	// of re-routing it. Attempt 0 speculates (its counters differ), so it
-	// is neither recorded nor replayed.
+	// Rip-up memo. Every attempt starts from the same grid and stops at
+	// its first failing unit, so its outcome — error and stats alike — is
+	// a function of order[:pos+1] alone. An order that starts with a
+	// recorded failing prefix replays that failure instead of re-routing
+	// it.
 	var memo []failedPrefix
 	for attempt := 0; attempt <= 3*len(placements); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Speculation pays on the first attempt of a ladder; once an
-		// attempt has failed, later attempts tend to fail early too, and
-		// speculating whole waves ahead of an early failure is pure waste —
-		// the retries run serially (attempt numbers are deterministic, so
-		// this costs nothing in parallelism-invariance).
-		if attempt == 0 {
-			wires, lastErr = routeOrder(order, rs, true)
-		} else if f := replayFailure(memo, order); f != nil {
+		if f := replayFailure(memo, order); f != nil {
 			rs.merge(f.rs)
 			lastErr = f.err
 		} else {
 			var ars RouteStats
-			wires, lastErr = routeOrder(order, &ars, false)
+			wires, lastErr = routeOrder(order, &ars)
 			rs.merge(ars)
 			if re, ok := lastErr.(*routeErr); ok {
 				memo = append(memo, failedPrefix{order[:re.pos+1], lastErr, ars})
@@ -596,284 +562,54 @@ func setupGrid(router *route.Router, bounds, coreBounds geom.Rect, band geom.Coo
 	}
 }
 
-// routeAll routes every wire in the given order over router, which holds
-// the placement's setup (setupGrid) and nothing else.
-//
-// The serial contract is the spec: conceptually each unit (one placement
-// and all its branch targets) routes in `order` against the grid state its
-// predecessors left behind. The implementation speculates: after the
-// static setup every unit routes concurrently against a Clone of that
-// common snapshot while recording its read/write Footprint, then the
-// commit loop walks `order` and, per unit, either proves the speculative
-// result is exactly what the serial order would have produced (no read of
-// a free cell was invalidated by an earlier commit, no committed foreign
-// segment entered the region the unit geometry-checked) and replays its
-// writes — or discards it and re-routes the unit serially on the live
-// grid, which is the seed code path. Ownership is monotone during the
-// phase (cells only go free→owned), so rejections can never be
-// invalidated, only acceptances — that is what makes read-validation
-// sufficient. A conflict budget degrades the whole tail to the seed
-// serial order on pathological specs. Output is therefore byte-identical
-// to the serial router at every Parallelism, and because the speculation
-// itself also runs at every Parallelism (a single worker drains it
-// serially), the conflict/retry counters are deterministic too.
-func routeAll(ctx context.Context, router *route.Router, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, order []int, extra map[string][]Request, opts *Options, rs *RouteStats, bufs *routeBufs, speculate bool) ([]Wire, error) {
-	maxD := bounds.W()
-	if bounds.H() > maxD {
-		maxD = bounds.H()
-	}
-
-	// ---- Speculative fan-out in waves.
-	//
-	// Units route in fixed waves of routeWave: each wave snapshots the
-	// master grid (all earlier commits included), routes its units in
-	// parallel against private clones of that snapshot, then commits them
-	// in routing order. A speculative result commits iff it cannot collide
-	// with anything committed after its snapshot: no cell its wires claimed
-	// was claimed by an intra-wave predecessor (write-collision via the
-	// journal), and its wires' true geometry keeps metal spacing from every
-	// segment committed since the snapshot. Either check failing — or the
-	// unit having failed outright against the snapshot — sends the unit to
-	// the serial path, which re-routes it live exactly like the seed loop.
-	//
-	// The wave size is a constant and the commit order is the routing
-	// order, so the whole pipeline — snapshots, speculation inputs, commit
-	// decisions — is identical at every Parallelism and the output is
-	// byte-identical to the -j 1 run.
-	master := router
-	master.EnableJournal()
-	var segments []netSeg
-	tr := trace.FromContext(ctx)
-	parent := trace.SpanFromContext(ctx)
-
-	// Units that share a net name with an earlier unit stay on the serial
-	// path: they branch from their trunk via NearestOwned, which reads the
-	// net's own cells — the one read the footprint deliberately does not
-	// record (see route.NearestOwned).
-	firstOfNet := make(map[string]int, len(order))
-	forced := make([]bool, len(order))
-	for k, i := range order {
-		net := placements[i].req.Net
-		if _, dup := firstOfNet[net]; dup {
-			forced[k] = true
-		} else {
-			firstOfNet[net] = k
-		}
-	}
-
-	type unitOut struct {
-		wires []Wire
-		segs  []netSeg // segments the unit appended past its snapshot
-		fp    route.Footprint
-		stats route.SearchStats
-		err   error
-	}
-	conflictBudget := len(order)/2 + 2
-	fellBack := false
+// routeAll routes every unit (one placement and all its branch targets)
+// in order on router, which holds the placement's setup (setupGrid) and
+// nothing else: each unit routes against the grid and the segments its
+// predecessors left behind. The context is checked before each unit, so a
+// cancelled compile stops mid-attempt. A failing unit ends the attempt
+// with a routeErr naming it.
+func routeAll(ctx context.Context, router *route.Router, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, order []int, extra map[string][]Request, rs *RouteStats) ([]Wire, error) {
+	maxD := max(bounds.W(), bounds.H())
+	u := &unitCtx{router: router}
 	var wires []Wire
-	// The speculation width: -j resolved against the wave size, then
-	// clamped to 2×GOMAXPROCS. Routing is CPU-bound, so workers beyond the
-	// processors available contribute no throughput — they only add live
-	// grid clones for the cache and the collector to churn through. The
-	// clamp changes scheduling only; the commit protocol makes the output
-	// identical at every width.
-	specWidth := pool.Size(opts.Parallelism, routeWave)
-	if lim := 2 * runtime.GOMAXPROCS(0); specWidth > lim {
-		specWidth = lim
-	}
-	// Per-worker clones, reused wave to wave and across the ladder worker's
-	// attempts and combos: a speculative unit costs one owner-grid memcpy
-	// instead of a full router allocation (owner grid, name tables, search
-	// scratch — the allocator dominated the parallel arm before this).
-	for len(bufs.clones) < specWidth {
-		bufs.clones = append(bufs.clones, nil)
-	}
-	clones := bufs.clones
-	for base := 0; base < len(order); base += routeWave {
-		lim := base + routeWave
-		if lim > len(order) {
-			lim = len(order)
+	for k, i := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		outs := make([]*unitOut, lim-base)
-		snapSeq := master.Seq()
-		snapSegs := segments // read-only while the wave speculates
-		if speculate && !fellBack {
-			// Returning the unit's own routing error stops dispatch past
-			// the first failure — the commit loop re-routes the failed unit
-			// (and the rest of its wave) serially on the live grid, where
-			// intra-wave predecessors' claims may make it succeed.
-			//
-			// firstFail lets in-flight workers bail out too: everything past
-			// the lowest failed index is discarded below at every pool
-			// width, so skipping those units loses nothing and saves a wide
-			// pool from routing a wave tail the commit loop will throw away.
-			firstFail := int32(lim - base)
-			_ = pool.RunIndexed(ctx, specWidth, lim-base, func(worker, j int) error {
-				k := base + j
-				if forced[k] || int32(j) > atomic.LoadInt32(&firstFail) {
-					return nil
-				}
-				p := placements[order[k]]
-				var span *trace.Active
-				if tr != nil { // untraced: build no span name or attributes
-					span = tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, worker)
-				}
-				out := &unitOut{}
-				clone := master.CloneInto(clones[worker])
-				if worker == 0 {
-					// The master is idle while its clones route: the
-					// first worker searches with its scratch.
-					clone.ShareScratch(master)
-				}
-				clones[worker] = clone
-				clone.SetRecorder(&out.fp)
-				u := &unitCtx{router: clone, base: snapSegs}
-				out.wires, out.err = routeUnit(u, p, extra, coreBounds, band, maxD)
-				out.segs = u.segs
-				out.stats = clone.Stats()
-				if span != nil {
-					span.Attr("net", p.req.Net).
-						Attr("cells_expanded", strconv.FormatInt(out.stats.CellsExpanded, 10)).
-						Attr("speculative", "true").
-						End()
-				}
-				outs[j] = out
-				if out.err != nil {
-					for {
-						cur := atomic.LoadInt32(&firstFail)
-						if int32(j) >= cur || atomic.CompareAndSwapInt32(&firstFail, cur, int32(j)) {
-							break
-						}
-					}
-				}
-				return out.err
-			})
-			// Speculative results past the first failure may or may not
-			// exist depending on pool size — drop them all,
-			// deterministically: the rest of the wave routes serially at
-			// every Parallelism.
-			for j := range outs {
-				if outs[j] != nil && outs[j].err != nil {
-					for j2 := j + 1; j2 < len(outs); j2++ {
-						outs[j2] = nil
-					}
-					break
-				}
-			}
+		uw, err := routeUnit(u, placements[i], extra, coreBounds, band, maxD)
+		if err != nil {
+			rs.add(router.Stats())
+			return nil, &routeErr{idx: i, pos: k, err: err}
 		}
-
-		// In-order commit of the wave.
-		for k := base; k < lim; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			i := order[k]
-			p := placements[i]
-			out := outs[k-base]
-			if out != nil && !fellBack && out.err == nil {
-				conflict := master.ConflictSince(&out.fp, snapSeq)
-				if !conflict {
-					// 2λ half-width + 3λ spacing vs segments already
-					// inflated by 2λ — the same gate routeToTarget applies
-					// while routing, re-run against the segments this
-					// unit's snapshot did not include.
-				recheck:
-					for _, w := range out.wires {
-						for s := 0; s+1 < len(w.Path); s++ {
-							r := geom.R(w.Path[s].X, w.Path[s].Y, w.Path[s+1].X, w.Path[s+1].Y).Inset(-geom.L(5))
-							for _, sg := range segments[len(snapSegs):] {
-								if sg.r.Overlaps(r) && sg.net != p.req.Net {
-									conflict = true
-									break recheck
-								}
-							}
-						}
-					}
-				}
-				if !conflict {
-					master.BumpSeq()
-					master.Apply(&out.fp, p.req.Net)
-					master.AddStats(out.stats)
-					segments = append(segments, out.segs...)
-					wires = append(wires, out.wires...)
-					rs.Nets++
-					continue
-				}
-				rs.Conflicts++
-				conflictBudget--
-				if conflictBudget <= 0 {
-					// Pathological spec: stop validating speculation and
-					// let the whole tail degrade to the seed serial order.
-					fellBack = true
-				}
-			}
-			// Serial (re-)route on the live grid — the seed code path.
-			master.BumpSeq()
-			var span *trace.Active
-			if tr != nil {
-				span = tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, trace.Coordinator)
-			}
-			before := master.Stats()
-			u := &unitCtx{router: master, segs: segments}
-			uw, err := routeUnit(u, p, extra, coreBounds, band, maxD)
-			delta := master.Stats()
-			delta.CellsExpanded -= before.CellsExpanded
-			retried := out != nil
-			if span != nil {
-				span.Attr("net", p.req.Net).
-					Attr("cells_expanded", strconv.FormatInt(delta.CellsExpanded, 10)).
-					Attr("retry", strconv.FormatBool(retried)).
-					End()
-			}
-			if retried {
-				rs.Retries++
-			}
-			if err != nil {
-				rs.add(master.Stats())
-				return nil, &routeErr{idx: i, pos: k, err: err}
-			}
-			segments = u.segs
-			wires = append(wires, uw...)
-			rs.Nets++
-		}
+		wires = append(wires, uw...)
+		rs.Nets++
 	}
-	rs.add(master.Stats())
+	rs.add(router.Stats())
 	return wires, nil
 }
 
-// unitCtx is the state one routing unit works against: a router (the live
-// master on the serial path, a private Clone during speculation), the
-// segments drawn before it that it only reads, and the segment list it
-// appends its own to. A speculative unit reads its wave's snapshot as
-// base and draws into a list of its own, so the wave's units share one
-// snapshot without copying it; the serial path appends to the live list.
+// unitCtx is the live state of one routing attempt: the grid and the
+// segments drawn so far, which each unit checks its geometry against and
+// appends its own to.
 type unitCtx struct {
 	router *route.Router
-	base   []netSeg
 	segs   []netSeg
 }
 
 // foreignSegClash reports whether r overlaps another net's drawn segment.
-// A speculative unit sees only the segments that existed at its snapshot
-// (none, for Pass 3's fan-out); the commit loop re-applies this gate to
-// the unit's final wire geometry against every segment committed since.
 // Overlap is tested first: it is the rare outcome, and it spares most
 // segments the net-name comparison.
 func (u *unitCtx) foreignSegClash(net string, r geom.Rect) bool {
-	for _, segs := range [2][]netSeg{u.base, u.segs} {
-		for _, s := range segs {
-			if s.r.Overlaps(r) && s.net != net {
-				return true
-			}
+	for _, s := range u.segs {
+		if s.r.Overlaps(r) && s.net != net {
+			return true
 		}
 	}
 	return false
 }
 
 // routeUnit routes one placement's net — the trunk from its pad stub plus
-// a branch per extra target — appending drawn segments to u.segs. This is
-// the body the serial loop always had; it now runs against a unitCtx so
-// speculation and the serial path share every decision.
+// a branch per extra target — appending drawn segments to u.segs.
 func routeUnit(u *unitCtx, p placed, extra map[string][]Request, coreBounds geom.Rect, band, maxD geom.Coord) ([]Wire, error) {
 	var wires []Wire
 	branches := extra[p.req.Net]

@@ -1,7 +1,10 @@
 package pads
 
 import (
+	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bristleblocks/internal/geom"
@@ -166,4 +169,44 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// countdownCtx is a context whose Err reports context.Canceled from its
+// k-th call on (never, when k is 0), counting every call.
+type countdownCtx struct {
+	context.Context
+	k     int32
+	calls atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	if n := c.calls.Add(1); c.k > 0 && n >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildCtxCancelsBetweenUnits pins the routing loop's per-unit
+// cancellation checkpoint: a cancellation that lands in the middle of a
+// rip-up attempt must stop the pass with context.Canceled — not let the
+// attempt finish into a ring, and not surface as a routing error.
+func TestBuildCtxCancelsBetweenUnits(t *testing.T) {
+	core := geom.R(0, 0, geom.L(400), geom.L(300))
+	reqs := testRequests(core)
+	probe := &countdownCtx{Context: context.Background()}
+	if _, err := BuildCtx(probe, core, reqs, nil); err != nil {
+		t.Fatal(err)
+	}
+	// One check per attempt and one per unit, plus BuildCtx's own final
+	// check: a ring of len(reqs) units asks at least len(reqs)+2 times.
+	total := probe.calls.Load()
+	if total < int32(len(reqs))+2 {
+		t.Fatalf("BuildCtx checked its context %d times for %d units", total, len(reqs))
+	}
+	for k := int32(2); k < total; k++ {
+		ring, err := BuildCtx(&countdownCtx{Context: context.Background(), k: k}, core, reqs, nil)
+		if ring != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at check %d of %d: ring %v, err %v; want context.Canceled", k, total, ring != nil, err)
+		}
+	}
 }

@@ -1,8 +1,8 @@
 // Package pool is the bounded worker pool shared by the compile passes.
-// Pass 1's element fan-out and Pass 3's speculative net routing both pull
-// ascending indices from a pool of at most Options.Parallelism goroutines;
-// the scheduling lives here so the passes can share it without an import
-// cycle (pads cannot import core).
+// Pass 1's element and stretch fan-outs pull ascending indices from a pool
+// of at most Options.Parallelism goroutines (RunIndexed), and Pass 3's
+// rip-up ladder race sizes its pool with Size; the sizing lives here so
+// both passes share it without an import cycle (pads cannot import core).
 package pool
 
 import (

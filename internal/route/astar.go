@@ -29,8 +29,7 @@
 // All per-search state lives in a scratch struct reused across calls:
 // records are invalidated by bumping the epoch instead of clearing, so a
 // search allocates nothing in steady state (BenchmarkSearch pins 0
-// allocs/op). A scratch grows to the largest grid its router is given and
-// may be shared by two routers that never search at once (ShareScratch).
+// allocs/op). A scratch grows to the largest grid its router is given.
 
 package route
 
@@ -74,10 +73,9 @@ type node struct {
 	i, x, y int32
 }
 
-// scratch is the reusable search state. It belongs to one Router, or to
-// two that never search at once (ShareScratch), and grows to the largest
-// grid it is used on (see Reshape); a reused scratch needs no clearing
-// because stale marks never carry a later epoch.
+// scratch is the reusable search state. It belongs to one Router and
+// grows to the largest grid it is used on (see Reshape); a reused scratch
+// needs no clearing because stale marks never carry a later epoch.
 type scratch struct {
 	cells []cell
 	epoch uint32
@@ -92,10 +90,7 @@ type scratch struct {
 	// invalidates the flood, "can net id reach cell c from start s?" is
 	// answered by the marks instead of another full flood. Pass 3's
 	// approach-point scan probes dozens of targets from one start, so a
-	// walled-in start pays for one flood instead of dozens. floodBy is the
-	// router that flooded: a shared scratch (ShareScratch) never answers
-	// one router from another's grid.
-	floodBy    *Router
+	// walled-in start pays for one flood instead of dozens.
 	floodID    netID
 	floodStart int32
 	floodOK    bool
@@ -112,17 +107,6 @@ func (r *Router) scratch() *scratch {
 		r.sc.cells = make([]cell, max(n, 2*len(r.sc.cells)))
 	}
 	return r.sc
-}
-
-// ShareScratch makes r search with other's scratch instead of one of its
-// own, so two routers that never search at the same time — a speculation
-// clone and its idle master — keep one set of search buffers between
-// them. The caller guarantees they never search concurrently.
-func (r *Router) ShareScratch(other *Router) {
-	if other.sc == nil {
-		other.sc = &scratch{}
-	}
-	r.sc = other.sc
 }
 
 // nextEpoch invalidates all marks. When the epoch outgrows its 29 bits
@@ -225,7 +209,7 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]node, bool) {
 	cells, owner := sc.cells[:n], r.owner[:n]
 	start := int32(r.idx(sx, sy))
 	goal := int32(r.idx(tx, ty))
-	if sc.floodOK && sc.floodBy == r && sc.floodID == id && sc.floodStart == start {
+	if sc.floodOK && sc.floodID == id && sc.floodStart == start {
 		if cells[goal].mark>>epochShift != sc.epoch {
 			// The previous search from this start flooded everything
 			// reachable and never marked this goal, and nothing has
@@ -335,7 +319,7 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]node, bool) {
 	}
 	if !found {
 		r.stats.Failures++
-		sc.floodOK, sc.floodBy, sc.floodID, sc.floodStart = true, r, id, start
+		sc.floodOK, sc.floodID, sc.floodStart = true, id, start
 		return nil, false
 	}
 

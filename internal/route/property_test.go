@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"bristleblocks/internal/geom"
@@ -215,8 +214,8 @@ func TestFloodCacheMixedGoals(t *testing.T) {
 	}
 }
 
-// TestOwnerSemantics pins the ownership contract the speculative commit
-// protocol depends on: the empty net is the free cell and never an owner
+// TestOwnerSemantics pins the ownership contract Pass 3's routing loop
+// depends on: the empty net is the free cell and never an owner
 // (Block("") and Claim("") are no-ops), nets that share a name prefix are
 // distinct owners (interning compares whole names, never prefixes), a net
 // may re-enter its own cells, and other nets may not.
@@ -247,14 +246,14 @@ func TestOwnerSemantics(t *testing.T) {
 		t.Fatalf(`Claim("n1") stole an "n" cell`)
 	}
 
-	// Blocking with a net leaves its own cells its own; a later Block by
-	// another net does not steal them either (Block overwrites, so this
-	// pins that routeAll only ever Blocks disjoint setup geometry — but
-	// Claim, the commit-phase write, must skip every owned cell).
+	// Claiming with a net leaves its own cells its own; a later Claim by
+	// another net does not steal them either (Block overwrites, so the pad
+	// pass only Blocks disjoint setup geometry — but Claim, the write every
+	// routed wire makes, must skip every owned cell).
 	r.Claim(geom.R(0, geom.L(20), geom.L(10), geom.L(30)), "a")
 	r.Claim(geom.R(0, geom.L(20), geom.L(10), geom.L(30)), "b")
 	if got := r.Owner(geom.Pt(geom.L(5), geom.L(25))); got != "a" {
-		t.Fatalf("commit-phase Claim stole a cell: owner %q, want a", got)
+		t.Fatalf("Claim stole a cell: owner %q, want a", got)
 	}
 }
 
@@ -286,72 +285,5 @@ func TestResetReusesRouter(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("route after Reset differs at %d: %v vs %v", i, first, second)
 		}
-	}
-}
-
-// TestSnapshotCommitRace hammers one speculation/commit cycle from 32
-// goroutines under the race detector: every worker clones the master,
-// routes its own net against the snapshot and records a footprint; the
-// commit loop then validates and applies them in index order. The master
-// is only ever read during the parallel phase and only written in the
-// serial phase — the shape Pass 3's fan-out relies on.
-func TestSnapshotCommitRace(t *testing.T) {
-	const workers = 32
-	pitch := geom.Coord(16)
-	master := mustRouter(t, geom.R(0, 0, 64*pitch, 64*pitch), pitch)
-	master.Block(geom.R(20*pitch, 20*pitch, 44*pitch, 44*pitch), "core")
-	master.EnableJournal()
-	snap := master.Seq()
-
-	type result struct {
-		fp  Footprint
-		err error
-		net string
-	}
-	results := make([]result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			net := fmt.Sprintf("n%d", w)
-			clone := master.Clone()
-			clone.SetRecorder(&results[w].fp)
-			// Distinct rows around the core, with some deliberate overlap
-			// between neighbors so commits genuinely conflict.
-			y := geom.Coord(1+(w/2))*pitch + pitch/2
-			_, err := clone.Route(net, geom.Pt(pitch/2, y), geom.Pt(63*pitch+pitch/2, y))
-			results[w].err = err
-			results[w].net = net
-		}()
-	}
-	wg.Wait()
-
-	committed := 0
-	for w := 0; w < workers; w++ {
-		if results[w].err != nil {
-			continue
-		}
-		if master.ConflictSince(&results[w].fp, snap) {
-			continue
-		}
-		master.BumpSeq()
-		master.Apply(&results[w].fp, results[w].net)
-		committed++
-		// Every applied cell must now belong to the committing net.
-		for _, i := range results[w].fp.Writes {
-			if o := master.names[master.owner[i]]; o != results[w].net {
-				t.Fatalf("worker %d: applied cell %d owned by %q", w, i, o)
-			}
-		}
-	}
-	if committed == 0 {
-		t.Fatal("no speculative route committed")
-	}
-	// Paired workers routed the same row: exactly one of each pair can
-	// have committed without conflict.
-	if committed > workers/2 {
-		t.Fatalf("%d commits, want at most %d (pairs share a row)", committed, workers/2)
 	}
 }

@@ -4,18 +4,13 @@
 //
 // The search is A*-directed (Manhattan-distance heuristic over a bucketed
 // two-FIFO frontier, see astar.go). Net names are interned to small
-// integer ids so the owner grid is a []netID — cloning a router for
-// speculative routing is a memcpy, and ownership tests never compare
-// strings.
+// integer ids so the owner grid is a []netID and ownership tests never
+// compare strings.
 //
-// For Pass 3's parallel fan-out the router exposes a snapshot/commit
-// protocol: Clone gives a worker a private copy of the grid, SetRecorder
-// captures the worker's write Footprint, and on the master router
-// EnableJournal + ConflictSince + Apply let the commit loop detect whether
-// a speculative route collides with an earlier commit and, if not, replay
-// its writes. Ownership is monotone during that phase — cells only ever
-// go free→owned, never owned→free or owned→other — which is what makes
-// write-collision validation sound (see docs/ARCHITECTURE.md).
+// Pass 3 routes its units one after another on one Router per rip-up
+// ladder worker: Checkpoint and Reset rewind the grid to the blocked setup
+// between attempts, and Reshape re-grids it for the next moat width, so a
+// worker keeps one set of grid and search buffers for its whole ladder.
 package route
 
 import (
@@ -30,20 +25,6 @@ type netID int32
 
 const freeCell netID = 0
 
-// Footprint records the cells a speculative routing unit claimed (path
-// cells and inflated wire claims). The commit loop validates it with
-// ConflictSince: a write cell that changed owner after the snapshot means
-// the unit's wire collides with an earlier commit and must re-route.
-// Reads need no tracking — ownership is monotone during the commit phase
-// (cells only go free→owned), so a cell observed OWNED can never change,
-// and a cell observed free that an earlier commit then claimed either
-// shows up in this unit's writes (collision, caught here) or only steered
-// its search (legal either way; the geometry is re-checked at commit
-// against the segments committed since the snapshot).
-type Footprint struct {
-	Writes []int32
-}
-
 // SearchStats counts the work the router's searches did. CellsExpanded is
 // the number of cells closed (popped and expanded) across all searches;
 // FrontierPeak is the largest frontier any single search reached.
@@ -54,21 +35,11 @@ type SearchStats struct {
 	FrontierPeak  int64
 }
 
-// Add merges o into s (FrontierPeak by max, the counters by sum).
-func (s *SearchStats) Add(o SearchStats) {
-	s.Searches += o.Searches
-	s.Failures += o.Failures
-	s.CellsExpanded += o.CellsExpanded
-	if o.FrontierPeak > s.FrontierPeak {
-		s.FrontierPeak = o.FrontierPeak
-	}
-}
-
 // Router is a maze router over a uniform grid. Each grid cell is either
 // free, or owned by a net; a route for net N may pass through free cells
 // and cells already owned by N (so multi-terminal nets merge naturally),
-// and blocks the cells it uses. A Router is not safe for concurrent use;
-// parallel callers work on Clones.
+// and blocks the cells it uses. A Router is not safe for concurrent use:
+// each goroutine routes on a Router of its own.
 type Router struct {
 	region geom.Rect
 	pitch  geom.Coord
@@ -77,25 +48,10 @@ type Router struct {
 
 	names []string         // names[id] = net name; names[0] = ""
 	ids   map[string]netID // inverse of names
-	// shared marks names/ids as borrowed from the router this one was
-	// cloned from; intern copies them before its first insert. Clones may
-	// share one table concurrently because the fan-out protocol never
-	// overlaps a parent mutation with a clone read: the master is idle
-	// while its clones route, and the clones are dead before the commit
-	// loop writes the master.
-	shared bool
-
-	// journal[i] is the Seq at which cell i last changed owner (0 = during
-	// setup, before EnableJournal). Only the master router of a speculative
-	// fan-out journals; clones leave it nil.
-	journal []int32
-	seq     int32
-
-	rec *Footprint // nil when not recording
 
 	base []netID // ownership at the last Checkpoint; empty when none
 
-	sc *scratch // search buffers: allocated on first Route, or shared (ShareScratch)
+	sc *scratch // search buffers, allocated on first Route
 
 	stats SearchStats
 }
@@ -115,10 +71,10 @@ func New(region geom.Rect, pitch geom.Coord) (*Router, error) {
 }
 
 // Reshape re-grids the router over region at pitch: an all-free grid, as
-// New would build, that keeps the router's allocations — owner and
-// journal arrays, search scratch, interned net names — and grows them
-// when the new grid is larger. A Pass 3 ladder worker routes combos of
-// several moat widths on one router this way. It drops the checkpoint.
+// New would build, that keeps the router's allocations — owner array,
+// search scratch, interned net names — and grows them when the new grid
+// is larger. A Pass 3 ladder worker routes combos of several moat widths
+// on one router this way. It drops the checkpoint.
 func (r *Router) Reshape(region geom.Rect, pitch geom.Coord) error {
 	if pitch <= 0 {
 		return fmt.Errorf("route: non-positive pitch %d", pitch)
@@ -135,9 +91,6 @@ func (r *Router) Reshape(region geom.Rect, pitch geom.Coord) error {
 	r.region, r.pitch, r.nx, r.ny = region, pitch, nx, ny
 	n := nx * ny
 	r.owner = resize(r.owner, n)
-	if r.journal != nil {
-		r.journal = resize(r.journal, n)
-	}
 	r.base = r.base[:0]
 	r.Reset()
 	return nil
@@ -165,20 +118,17 @@ func (r *Router) Checkpoint() {
 }
 
 // Reset returns the router to its last Checkpoint — an all-free grid when
-// it has none — with an empty journal and zeroed statistics, keeping its
-// allocations for the next attempt. A rip-up ladder re-routes the same
-// placement dozens of times; rebuilding the router each attempt made the
-// allocator, not the search, the bottleneck.
+// it has none — with zeroed statistics, keeping its allocations for the
+// next attempt. A rip-up ladder re-routes the same placement dozens of
+// times; rebuilding the router each attempt made the allocator, not the
+// search, the bottleneck.
 func (r *Router) Reset() {
 	if len(r.base) == len(r.owner) {
 		copy(r.owner, r.base)
 	} else {
 		clear(r.owner)
 	}
-	clear(r.journal)
-	r.seq = 0
 	r.stats = SearchStats{}
-	r.rec = nil
 	if r.sc != nil {
 		r.sc.floodOK = false
 	}
@@ -190,104 +140,10 @@ func (r *Router) GridSize() (nx, ny int) { return r.nx, r.ny }
 // Stats returns the accumulated search statistics.
 func (r *Router) Stats() SearchStats { return r.stats }
 
-// AddStats merges a clone's search statistics into the router's own (the
-// commit loop calls this in deterministic unit order).
-func (r *Router) AddStats(s SearchStats) { r.stats.Add(s) }
-
-// Clone returns a private copy of the grid for speculative routing: same
-// region, pitch and interned nets, its own owner array (a
-// single memcpy), fresh statistics, no journal and no recorder. The net
-// name tables are shared copy-on-write — a clone routing an already-known
-// net (the usual case; its terminals were claimed on the master) never
-// touches them.
-func (r *Router) Clone() *Router { return r.CloneInto(nil) }
-
-// CloneInto is Clone reusing dst's buffers — owner array and search
-// scratch, grown when r's grid is larger — so a worker that routes many
-// speculative units allocates one clone, not one per unit. dst must be a
-// previous CloneInto/Clone result (never a journaling master); a nil dst
-// gets a fresh Clone.
-func (r *Router) CloneInto(dst *Router) *Router {
-	if dst == nil || dst.journal != nil {
-		dst = &Router{}
-	}
-	dst.region, dst.pitch = r.region, r.pitch
-	dst.nx, dst.ny = r.nx, r.ny
-	dst.owner = append(dst.owner[:0], r.owner...)
-	dst.names = r.names
-	dst.ids = r.ids
-	dst.shared = true
-	dst.seq = 0
-	dst.stats = SearchStats{}
-	dst.rec = nil
-	if dst.sc != nil {
-		dst.sc.floodOK = false
-	}
-	return dst
-}
-
-// SetRecorder directs the router to record the cells it writes into fp
-// (nil stops recording). Workers set this on their Clone so the commit
-// loop can check the route for collisions against later commits.
-func (r *Router) SetRecorder(fp *Footprint) { r.rec = fp }
-
-// EnableJournal starts journalling owner changes on the master router so
-// ConflictSince can answer "did any of these cells change since sequence
-// point s?".
-func (r *Router) EnableJournal() {
-	if r.journal == nil {
-		r.journal = make([]int32, len(r.owner))
-	}
-}
-
-// Seq returns the current commit sequence number (the snapshot point a
-// speculative unit validates against).
-func (r *Router) Seq() int32 { return r.seq }
-
-// BumpSeq advances the commit sequence; the commit loop calls it once per
-// unit so that unit's writes are distinguishable from earlier ones.
-func (r *Router) BumpSeq() int32 { r.seq++; return r.seq }
-
-// ConflictSince reports whether any cell in the footprint's write set
-// changed owner after sequence point since — i.e. an earlier commit
-// claimed a cell this unit's wire also needs. Requires EnableJournal.
-func (r *Router) ConflictSince(fp *Footprint, since int32) bool {
-	for _, i := range fp.Writes {
-		if r.journal[i] > since {
-			return true
-		}
-	}
-	return false
-}
-
-// Apply replays a validated speculative unit's writes onto the master
-// grid. Sound only after ConflictSince returned false: a clone only ever
-// writes cells that were free or owned by its own net at the snapshot
-// (searches cannot enter foreign cells and Claim skips owned ones), and no
-// conflict means no commit has touched those cells since — so on the
-// master each written cell is still free or already this net's.
-func (r *Router) Apply(fp *Footprint, net string) {
-	id := r.intern(net)
-	for _, i := range fp.Writes {
-		r.setOwner(int(i), id)
-	}
-}
-
-// intern maps a net name to its id, allocating one on first sight. A
-// router still sharing its tables with its clone parent copies them
-// before the first insert (see Router.shared).
+// intern maps a net name to its id, allocating one on first sight.
 func (r *Router) intern(net string) netID {
 	if id, ok := r.ids[net]; ok {
 		return id
-	}
-	if r.shared {
-		ids := make(map[string]netID, len(r.ids)+1)
-		for k, v := range r.ids {
-			ids[k] = v
-		}
-		r.ids = ids
-		r.names = append([]string(nil), r.names...)
-		r.shared = false
 	}
 	id := netID(len(r.names))
 	r.names = append(r.names, net)
@@ -295,17 +151,10 @@ func (r *Router) intern(net string) netID {
 	return id
 }
 
-// setOwner is the single owner-write path: it stamps the journal and the
-// recorder, so speculation never misses a write, and invalidates the
+// setOwner is the single owner-write path: it invalidates the
 // failed-flood cache, whose reachability answer assumed a frozen grid.
 func (r *Router) setOwner(i int, id netID) {
 	r.owner[i] = id
-	if r.journal != nil {
-		r.journal[i] = r.seq
-	}
-	if r.rec != nil {
-		r.rec.Writes = append(r.rec.Writes, int32(i))
-	}
 	if r.sc != nil {
 		r.sc.floodOK = false
 	}
@@ -399,12 +248,6 @@ func (r *Router) Claim(rect geom.Rect, net string) {
 // NearestOwned returns the center of the claimed cell of the given net
 // nearest to p (for branching a multi-terminal net from its existing
 // trunk); ok is false when the net owns nothing.
-//
-// NearestOwned deliberately records nothing: it only reads the net's OWN
-// cells, and during the commit phase no other unit writes this net (units
-// sharing a net name are forced onto the serial path by the pads pass),
-// so the answer a speculative clone computes is the answer the serial
-// order would have computed.
 func (r *Router) NearestOwned(net string, p geom.Point) (geom.Point, bool) {
 	id, ok := r.ids[net]
 	if !ok || id == freeCell {

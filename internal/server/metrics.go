@@ -41,7 +41,7 @@ type metrics struct {
 	scenarioRequests, scenarioBadVectors, scenarioGraded expvar.Int
 	scenarioVectors, scenarioFailed, scenarioGradeLast   expvar.Int
 	// Pass 3 routing work, accumulated over cold compiles.
-	routeNets, routeConflicts, routeRetries, routeCells expvar.Int
+	routeNets, routeCells expvar.Int
 	// The per-phase families, indexed by trace.Phase and filled from each
 	// counted compile's phase record: latency histograms for the three
 	// passes, allocation counters for every phase (PhaseTotal is the
@@ -198,10 +198,8 @@ func (m *metrics) table(s *Server) []sample {
 		c("bbd_scenario_failed_vectors_total", "scenario_failed_vectors", "Vectors that failed their expectations across verify requests.", float64(m.scenarioFailed.Value())),
 		g("bbd_scenario_grade_percent_last", "scenario_grade_percent_last", "Worst scenario grade of the most recent verify request.", float64(m.scenarioGradeLast.Value())),
 
-		c("bbd_route_nets_total", "route_nets", "Routing units committed by Pass 3 across cold compiles (all rip-up attempts).", float64(m.routeNets.Value())),
-		c("bbd_route_conflicts_total", "route_conflicts", "Speculative routes invalidated by an earlier commit across cold compiles.", float64(m.routeConflicts.Value())),
-		c("bbd_route_retries_total", "route_retries", "Serial re-routes that repaired discarded speculation across cold compiles.", float64(m.routeRetries.Value())),
-		c("bbd_route_cells_expanded_total", "route_cells_expanded", "Grid cells the committed searches expanded across cold compiles.", float64(m.routeCells.Value())),
+		c("bbd_route_nets_total", "route_nets", "Routing units Pass 3 routed across cold compiles (all rip-up attempts).", float64(m.routeNets.Value())),
+		c("bbd_route_cells_expanded_total", "route_cells_expanded", "Grid cells Pass 3's searches expanded across cold compiles.", float64(m.routeCells.Value())),
 		g("bbd_route_frontier_peak", "route_frontier_peak", "Widest search frontier any cold compile's router reached.", float64(m.routeFrontierPeak.Load())),
 
 		// Per-pass wall-clock: seconds on /metrics, microseconds under the
@@ -380,8 +378,6 @@ func (m *metrics) observeCompile(chip *core.Chip, spans []trace.Span) {
 	m.plaTermsMerged.Add(int64(st.PlaTermsBefore - st.PlaTermsAfter))
 	m.plaAreaSaved.Add(st.PlaAreaSavedLambda2)
 	m.routeNets.Add(st.RouteNets)
-	m.routeConflicts.Add(st.RouteConflicts)
-	m.routeRetries.Add(st.RouteRetries)
 	m.routeCells.Add(st.RouteCellsExpanded)
 	for {
 		cur := m.routeFrontierPeak.Load()

@@ -67,9 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := page.Get("bbd_core_pitch_lambda"); !ok || v <= 0 {
 		t.Fatalf("bbd_core_pitch_lambda = %v,%v (want > 0)", v, ok)
 	}
-	// Pass 3 routing families are live after one pads-enabled cold compile;
-	// conflict/retry counters must at least be present (zero is a fine
-	// value — it means no speculation was discarded).
+	// Pass 3 routing families are live after one pads-enabled cold compile.
 	if v, ok := page.Get("bbd_route_nets_total"); !ok || v <= 0 {
 		t.Fatalf("bbd_route_nets_total = %v,%v (want > 0)", v, ok)
 	}
@@ -78,11 +76,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := page.Get("bbd_route_frontier_peak"); !ok || v <= 0 {
 		t.Fatalf("bbd_route_frontier_peak = %v,%v (want > 0)", v, ok)
-	}
-	for _, name := range []string{"bbd_route_conflicts_total", "bbd_route_retries_total"} {
-		if _, ok := page.Get(name); !ok {
-			t.Fatalf("%s missing from /metrics", name)
-		}
 	}
 	if page.Types["bbd_request_latency_ms"] != "histogram" {
 		t.Fatalf("request latency family is %q, want histogram", page.Types["bbd_request_latency_ms"])
