@@ -352,11 +352,15 @@ func runVerify(chip *bristleblocks.Chip, path string) error {
 // recompile on every change against a warm artifact store, so each save
 // regenerates only the cells the edit touched. Parse and compile errors
 // are reported and the loop keeps watching; maxCompiles bounds the loop
-// for tests (0 = run until interrupted).
+// for tests (0 = run until interrupted). The loop writes only the CIF, so
+// it compiles without the other representations.
 func runWatch(w io.Writer, in, cifPath string, opts *bristleblocks.Options, interval time.Duration, maxCompiles int) error {
 	if interval <= 0 {
 		interval = 250 * time.Millisecond
 	}
+	layoutOnly := *opts
+	layoutOnly.SkipExtraReps = true
+	opts = &layoutOnly
 	store, err := incr.New(0, "")
 	if err != nil {
 		return err

@@ -175,4 +175,10 @@ func TestWatchRecompilesOnEdit(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Error("watched CIF differs from a scratch compile of the edited spec")
 	}
+	// The loop builds no netlist, yet reports the full compile's count.
+	counts := regexp.MustCompile(`: (\d+) transistors`).FindAllStringSubmatch(out, -1)
+	if len(counts) != 2 || counts[1][1] != strconv.Itoa(chip.Stats.Transistors) {
+		t.Errorf("watch reported transistors %v, a full compile counts %d, in:\n%s",
+			counts, chip.Stats.Transistors, out)
+	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"sync"
+
 	"bristleblocks/internal/cif"
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/trace"
@@ -15,17 +17,21 @@ import (
 // harness's 16λ scale so daemon responses and differential baselines are
 // comparable bytes. The CIF is stored as an exact-length copy: cif.Append
 // reserves from an estimate, and a cached entry should hold (and be
-// charged for) only its bytes.
+// charged for) only its bytes. It is appended into a pooled scratch
+// buffer, so the copy is the only CIF allocation a render makes.
 func Render(chip *core.Chip) (*Result, error) {
 	lambda := chip.Spec.LambdaCentimicrons
 	if lambda <= 0 {
 		lambda = cif.DefaultLambdaCentimicrons
 	}
-	buf, err := cif.Append(nil, chip.Mask, lambda)
+	bp := cifBufs.Get().(*[]byte)
+	defer cifBufs.Put(bp)
+	buf, err := cif.Append((*bp)[:0], chip.Mask, lambda)
+	*bp = buf
 	if err != nil {
 		return nil, err
 	}
-	text := make([]byte, len(buf))
+	text := make([]byte, len(buf)) // not bytes.Clone, which rounds cap up
 	copy(text, buf)
 	ph := &chip.Phases
 	sticks := ""
@@ -48,3 +54,7 @@ func Render(chip *core.Chip) (*Result, error) {
 		Logical: chip.Logical,
 	}, nil
 }
+
+// cifBufs recycles the scratch buffers Render appends CIF into; nothing
+// keeps one past the call, which copies out the exact bytes.
+var cifBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bristleblocks/internal/core"
@@ -51,15 +53,32 @@ func TestAllocAttribution(t *testing.T) {
 			}
 			// ≥ 90% of the compile's allocations must land in a named pass.
 			if float64(att.Objects) < 0.9*float64(total.Objects) {
-				t.Errorf("object attribution %.1f%% < 90%% (attributed %d of %d)",
-					100*float64(att.Objects)/float64(total.Objects), att.Objects, total.Objects)
+				t.Errorf("object attribution %.1f%% < 90%% (attributed %d of %d)\n%s",
+					100*float64(att.Objects)/float64(total.Objects), att.Objects, total.Objects,
+					phaseBreakdown(&chip.Phases, att))
 			}
 			if float64(att.Bytes) < 0.9*float64(total.Bytes) {
-				t.Errorf("byte attribution %.1f%% < 90%% (attributed %d of %d)",
-					100*float64(att.Bytes)/float64(total.Bytes), att.Bytes, total.Bytes)
+				t.Errorf("byte attribution %.1f%% < 90%% (attributed %d of %d)\n%s",
+					100*float64(att.Bytes)/float64(total.Bytes), att.Bytes, total.Bytes,
+					phaseBreakdown(&chip.Phases, att))
 			}
 		})
 	}
+}
+
+// phaseBreakdown lists every phase's objects and bytes and the glue
+// remainder (the total less the attributed passes att), so an attribution
+// failure says where the unattributed allocations went.
+func phaseBreakdown(ph *trace.Phases, att trace.Measure) string {
+	names := [trace.NumPhases]string{"core", "control", "pads", "reps", "total"}
+	var b strings.Builder
+	for i, m := range ph {
+		fmt.Fprintf(&b, "  %-8s %8d objects %10d bytes\n", names[i], m.Objects, m.Bytes)
+	}
+	total := ph[trace.PhaseTotal]
+	fmt.Fprintf(&b, "  %-8s %8d objects %10d bytes", "glue",
+		int64(total.Objects)-int64(att.Objects), int64(total.Bytes)-int64(att.Bytes))
+	return b.String()
 }
 
 // TestAllocsExcludedFromStats pins the determinism contract: Stats must

@@ -45,8 +45,9 @@ type Options struct {
 	// SkipPads stops after Pass 2 (no pad ring), for core-level tests.
 	SkipPads bool
 	// Representations: when false (default) all representations are
-	// produced; set SkipExtraReps to produce only the layout (for the T2
-	// timing ablation).
+	// produced; set SkipExtraReps to produce only the layout, for callers
+	// that return nothing else (CIF-only edit-session compiles, bristlec
+	// -watch, the T2 timing ablation). Stats is the same either way.
 	SkipExtraReps bool
 	// Parallelism bounds the worker pools of Pass 1's element fan-out and
 	// Pass 3's rip-up ladder race: 0 (the default) selects GOMAXPROCS, 1
@@ -147,7 +148,7 @@ type Chip struct {
 // Version identifies the compiler for content-addressed caching: any
 // change that can alter the compiled output for the same (spec, options)
 // pair must bump it, or cache layers will serve stale results.
-const Version = "bristleblocks-8"
+const Version = "bristleblocks-9"
 
 // Compile runs the three-pass silicon compiler on the specification.
 func Compile(spec *Spec, opts *Options) (*Chip, error) {

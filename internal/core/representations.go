@@ -108,12 +108,24 @@ func (c *Chip) buildRepresentations() {
 	c.Logical = c.logicalDiagram()
 }
 
+// fillStats fills the chip-level counts. Transistors are counted over the
+// placed cells and the decoder, the netlists buildRepresentations merges,
+// so Stats is the same whether or not the merged netlist was built.
 func (c *Chip) fillStats() {
 	c.Stats.Columns = len(c.columns)
 	c.Stats.CellsPlaced = len(c.columns) * c.Spec.DataWidth
-	if c.Netlist != nil {
-		c.Stats.Transistors = len(c.Netlist.Txs)
+	n := 0
+	for _, col := range c.columns {
+		for _, cc := range col.cells {
+			if cc.Netlist != nil {
+				n += len(cc.Netlist.Txs)
+			}
+		}
 	}
+	if c.Decoder != nil && c.Decoder.Layout.Cell.Netlist != nil {
+		n += len(c.Decoder.Layout.Cell.Netlist.Txs)
+	}
+	c.Stats.Transistors = n
 	if c.Mask != nil {
 		c.Stats.ChipBounds = c.Mask.BBox()
 	}

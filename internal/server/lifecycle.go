@@ -167,10 +167,10 @@ func (c *call) await(j *job) jobResult {
 	}
 }
 
-// build runs the three passes on the call's spec and renders the
-// representations the cache stores, under the call's key.
-func (c *call) build(ctx context.Context) jobResult {
-	chip, err := core.CompileCtx(ctx, c.spec, c.opts)
+// build runs the three passes on the call's spec under opts and renders
+// the representations the compile produced, under the call's key.
+func (c *call) build(ctx context.Context, opts *core.Options) jobResult {
+	chip, err := core.CompileCtx(ctx, c.spec, opts)
 	if err != nil {
 		return jobResult{err: err}
 	}

@@ -275,7 +275,7 @@ func (s *Server) worker() {
 			// handler's lookup was the counted one and asked the peer, so
 			// this re-check reads the local layers only.
 			out = jobResult{res: res, cached: true}
-		} else if out = c.build(c.ctx); out.err == nil {
+		} else if out = c.build(c.ctx, c.opts); out.err == nil {
 			s.cache.Put(c.key, out.res)
 		}
 		s.metrics.inFlight.Add(-1)

@@ -253,8 +253,17 @@ func (s *Server) sessionCompile(w http.ResponseWriter, c *call, sess *session) {
 	}
 	defer c.begin()()
 
+	// A reply that carries no representation but CIF needs only the
+	// layout, so the compile skips the others. Stats does not depend on
+	// them, and the key and flight record keep the options as asked.
+	opts := c.opts
+	if cifOnly(c.reps) {
+		o := *c.opts
+		o.SkipExtraReps = true
+		opts = &o
+	}
 	before := sess.store.Counters()
-	out := c.build(incr.WithStore(c.ctx, sess.store))
+	out := c.build(incr.WithStore(c.ctx, sess.store), opts)
 	after := sess.store.Counters()
 	sess.touch(time.Now())
 	s.metrics.sessionCompiles.Add(1)
@@ -278,4 +287,10 @@ func (s *Server) sessionCompile(w http.ResponseWriter, c *call, sess *session) {
 		"incr_invalidations", resp.Incr.Invalidations,
 		"dur", time.Since(c.start))
 	writeCompileResponse(w, &resp, out.res, c.reps)
+}
+
+// cifOnly reports whether a reply with representations reps carries
+// nothing but (at most) the CIF.
+func cifOnly(reps map[string]bool) bool {
+	return len(reps) == 0 || len(reps) == 1 && reps["cif"]
 }

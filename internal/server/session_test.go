@@ -117,6 +117,67 @@ func TestSessionCompileAllReps(t *testing.T) {
 	}
 }
 
+// TestSessionCIFOnlySameReply: a session compile whose reply carries only
+// the CIF skips the other representations — its span tree has no
+// pass.representations span and its phase record's reps row reads zero —
+// yet answers the same stats, key and CIF as a reps=all compile of the
+// same spec. The flight record keeps the options the client asked for.
+func TestSessionCIFOnlySameReply(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Parallelism: 1})
+	spec := specText(1)
+	for _, pads := range []string{"nopads=1&", ""} {
+		lean := openSession(t, ts.URL)
+		full := openSession(t, ts.URL)
+		_, a := postSpec(t, ts.URL+"/session/"+lean.SessionID+"/compile?"+pads+"reps=cif&trace=1", spec)
+		_, b := postSpec(t, ts.URL+"/session/"+full.SessionID+"/compile?"+pads+"reps=all&trace=1", spec)
+		if a.CIF == "" || a.CIF != b.CIF {
+			t.Errorf("%q: reps=cif CIF (%d bytes) differs from reps=all (%d bytes)", pads, len(a.CIF), len(b.CIF))
+		}
+		if a.Stats != b.Stats || a.Stats.Transistors == 0 {
+			t.Errorf("%q: stats differ:\ncif %+v\nall %+v", pads, a.Stats, b.Stats)
+		}
+		if a.Key != b.Key {
+			t.Errorf("%q: key %s differs from reps=all's %s", pads, a.Key, b.Key)
+		}
+		if a.Sticks != "" || a.Text != "" {
+			t.Errorf("%q: reps=cif reply carries other representations", pads)
+		}
+		hasReps := func(spans []trace.Span) bool {
+			for _, sp := range spans {
+				if sp.Name == "pass.representations" {
+					return true
+				}
+			}
+			return false
+		}
+		if hasReps(a.Trace) {
+			t.Errorf("%q: reps=cif compile traced a pass.representations span", pads)
+		}
+		if !hasReps(b.Trace) {
+			t.Errorf("%q: reps=all compile traced no pass.representations span", pads)
+		}
+		rec := flightRecord(t, ts.URL, a.RequestID)
+		if rec.Allocs == nil || rec.Allocs[trace.PhaseReps].Objects != 0 {
+			t.Errorf("%q: reps=cif flight record's reps row = %+v, want zero", pads, rec.Allocs)
+		}
+		if strings.Contains(rec.Options, "SkipExtraReps:true") {
+			t.Errorf("%q: flight record options %q are not the ones asked for", pads, rec.Options)
+		}
+	}
+}
+
+// TestCompileSkipRepsCountsTransistors: /compile?skipreps=1 builds no
+// netlist, and its stats still count the chip's transistors.
+func TestCompileSkipRepsCountsTransistors(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Parallelism: 1})
+	spec := specText(1)
+	_, lean := postSpec(t, ts.URL+"/compile?skipreps=1&reps=cif", spec)
+	_, full := postSpec(t, ts.URL+"/compile?reps=cif", spec)
+	if lean.Stats.Transistors == 0 || lean.Stats != full.Stats {
+		t.Fatalf("skipreps=1 stats differ:\nlean %+v\nfull %+v", lean.Stats, full.Stats)
+	}
+}
+
 // TestSessionLifecycle covers the management surface: unknown ids 404,
 // DELETE retires, TTL expiry is lazy but effective, and capacity
 // displaces the least recently used session.

@@ -75,40 +75,60 @@ func (m *Machine) Add(state State, read1, read2 Symbol, next State, write1, writ
 }
 
 // Tape is one machine tape: a semi-infinite-in-both-directions cell array
-// with a head.
+// with a head. The cells the machine has reached are one slice; every
+// other cell reads blank.
 type Tape struct {
 	blank Symbol
-	cells map[int]Symbol
+	cells []Symbol // cells[i] is position i+off; blank where unwritten
+	off   int
 	pos   int
 }
 
 // NewTape builds a tape containing the given symbols starting at position
 // 0, with the head at 0.
 func NewTape(blank Symbol, contents []Symbol) *Tape {
-	t := &Tape{blank: blank, cells: make(map[int]Symbol, len(contents))}
-	for i, s := range contents {
-		if s != blank {
-			t.cells[i] = s
-		}
-	}
-	return t
+	return &Tape{blank: blank, cells: append([]Symbol(nil), contents...)}
 }
 
 // Read returns the symbol under the head.
 func (t *Tape) Read() Symbol {
-	if s, ok := t.cells[t.pos]; ok {
-		return s
+	if i := t.pos - t.off; i >= 0 && i < len(t.cells) {
+		return t.cells[i]
 	}
 	return t.blank
 }
 
-// Write replaces the symbol under the head.
+// Write replaces the symbol under the head; writing blank erases the cell.
 func (t *Tape) Write(s Symbol) {
-	if s == t.blank {
-		delete(t.cells, t.pos)
-	} else {
-		t.cells[t.pos] = s
+	i := t.pos - t.off
+	if i < 0 || i >= len(t.cells) {
+		if s == t.blank {
+			return // already blank
+		}
+		i = t.reach(i)
 	}
+	t.cells[i] = s
+}
+
+// reach grows the cell slice to cover index i (relative to off), filling
+// the new cells with blank, and returns i's index after the growth. The
+// slice at least doubles when it grows to the left, so a machine walking
+// left pays amortized constant time per cell, as it does walking right.
+func (t *Tape) reach(i int) int {
+	if i >= len(t.cells) {
+		for len(t.cells) <= i {
+			t.cells = append(t.cells, t.blank)
+		}
+		return i
+	}
+	n := max(-i, len(t.cells), 8) // cells to add on the left
+	cells := make([]Symbol, n+len(t.cells))
+	for j := range n {
+		cells[j] = t.blank
+	}
+	copy(cells[n:], t.cells)
+	t.cells, t.off = cells, t.off-n
+	return i + n
 }
 
 // MoveHead shifts the head.
@@ -120,30 +140,14 @@ func (t *Tape) Pos() int { return t.pos }
 // Contents returns the written span of the tape with trailing and leading
 // blanks trimmed.
 func (t *Tape) Contents() []Symbol {
-	lo, hi := 0, -1
-	first := true
-	for p := range t.cells {
-		if first {
-			lo, hi = p, p
-			first = false
-			continue
-		}
-		if p < lo {
-			lo = p
-		}
-		if p > hi {
-			hi = p
-		}
+	lo, hi := 0, len(t.cells)
+	for lo < hi && t.cells[lo] == t.blank {
+		lo++
 	}
-	out := make([]Symbol, 0, hi-lo+1)
-	for p := lo; p <= hi; p++ {
-		if s, ok := t.cells[p]; ok {
-			out = append(out, s)
-		} else {
-			out = append(out, t.blank)
-		}
+	for hi > lo && t.cells[hi-1] == t.blank {
+		hi--
 	}
-	return out
+	return append(make([]Symbol, 0, hi-lo), t.cells[lo:hi]...)
 }
 
 // String renders the tape contents around the head.

@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -99,7 +100,6 @@ func TestTapeMechanics(t *testing.T) {
 	}
 	var empty Tape
 	empty.blank = "_"
-	empty.cells = map[int]Symbol{}
 	if len(empty.Contents()) != 0 {
 		t.Error("empty tape should have no contents")
 	}
@@ -147,4 +147,109 @@ func TestBinaryIncrement(t *testing.T) {
 			t.Errorf("inc(%s) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// mapTape is the map-backed tape Tape replaced, kept as FuzzTape's
+// reference: a cell holds a symbol only while it is not blank.
+type mapTape struct {
+	blank Symbol
+	cells map[int]Symbol
+	pos   int
+}
+
+func newMapTape(blank Symbol, contents []Symbol) *mapTape {
+	t := &mapTape{blank: blank, cells: make(map[int]Symbol, len(contents))}
+	for i, s := range contents {
+		if s != blank {
+			t.cells[i] = s
+		}
+	}
+	return t
+}
+
+func (t *mapTape) Read() Symbol {
+	if s, ok := t.cells[t.pos]; ok {
+		return s
+	}
+	return t.blank
+}
+
+func (t *mapTape) Write(s Symbol) {
+	if s == t.blank {
+		delete(t.cells, t.pos)
+	} else {
+		t.cells[t.pos] = s
+	}
+}
+
+func (t *mapTape) Contents() []Symbol {
+	lo, hi := 0, -1
+	first := true
+	for p := range t.cells {
+		if first {
+			lo, hi = p, p
+			first = false
+			continue
+		}
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	out := make([]Symbol, 0, hi-lo+1)
+	for p := lo; p <= hi; p++ {
+		if s, ok := t.cells[p]; ok {
+			out = append(out, s)
+		} else {
+			out = append(out, t.blank)
+		}
+	}
+	return out
+}
+
+// FuzzTape drives Tape and the map-backed reference through the same
+// Read/Write/Move sequence and requires every read, head position and
+// Contents to agree. The first byte picks the initial contents' length;
+// each later byte is one operation: its low two bits select read, write,
+// move, or a far jump, the rest its symbol, direction or distance.
+func FuzzTape(f *testing.F) {
+	f.Add([]byte{3, 0x01, 0x06, 0x0a, 0x02, 0x12, 0x11})
+	f.Add([]byte{0, 0x03, 0x83, 0x05, 0x02, 0x0e, 0x00})
+	f.Add([]byte{5, 0x07, 0x07, 0x07, 0x05, 0x0d, 0x01, 0x0a})
+	alphabet := []Symbol{"_", "0", "1", "x", ""}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		init := make([]Symbol, int(ops[0])%9)
+		for i := range init {
+			init[i] = alphabet[i%len(alphabet)]
+		}
+		got, want := NewTape("_", init), newMapTape("_", init)
+		for i, op := range ops[1:] {
+			switch arg := int(op >> 2); op & 3 {
+			case 0:
+				if g, w := got.Read(), want.Read(); g != w {
+					t.Fatalf("op %d: Read = %q, want %q", i, g, w)
+				}
+			case 1:
+				s := alphabet[arg%len(alphabet)]
+				got.Write(s)
+				want.Write(s)
+			case 2:
+				m := Move(arg%3 - 1)
+				got.MoveHead(m)
+				want.pos += int(m)
+			case 3:
+				d := arg%32 - 16
+				for range max(d, -d) {
+					got.MoveHead(Move(d / max(d, -d)))
+				}
+				want.pos += d
+			}
+			if got.Pos() != want.pos {
+				t.Fatalf("op %d: Pos = %d, want %d", i, got.Pos(), want.pos)
+			}
+		}
+		if g, w := got.Contents(), want.Contents(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("Contents = %q, want %q", g, w)
+		}
+	})
 }
