@@ -7,9 +7,12 @@
 // only a real difference — misses, and a compiler upgrade invalidates
 // everything at once.
 //
-// The cache is two layers: a size-bounded in-memory LRU (hit/miss/eviction
-// counters for the serving metrics) over an optional on-disk layer that
-// survives daemon restarts. A disk hit is promoted into memory.
+// The cache's two local layers are one incr.Store: a size-bounded
+// in-memory LRU (its eviction and disk-hit counters feed the serving
+// metrics) over an optional on-disk layer, results.log, that survives
+// daemon restarts. A disk hit is promoted into memory. The cache adds the
+// Result frame codec (disk.go) and its own request counters: each GetCtx
+// counts one hit or miss, whichever tier answers.
 //
 // A third, optional tier makes the cache horizontal: SetPeers attaches a
 // consistent-hash shard ring over a farm's node list (see PeerTier), and
@@ -19,18 +22,16 @@
 package cache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/desc"
-	"bristleblocks/internal/keylog"
+	"bristleblocks/internal/incr"
 	"bristleblocks/internal/trace"
 )
 
@@ -95,27 +96,15 @@ type Counters struct {
 	Bytes    int64
 }
 
-// Cache is the two-layer compile cache. The zero value is not usable; use
-// New.
+// Cache is the compile cache. The zero value is not usable; use New.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	lru      *list.List // front = most recent; values are *entry
-	byKey    map[string]*list.Element
-
-	disk *keylog.Log // nil when no directory is configured
+	store *incr.Store // the memory LRU over the optional disk layer
 
 	// peers is the farm shard tier (nil outside a farm). Set once via
 	// SetPeers before serving; read without synchronization afterwards.
 	peers *PeerTier
 
-	hits, misses, evictions, diskHits, peerHits atomic.Int64
-}
-
-type entry struct {
-	key string
-	res *Result
+	hits, misses, peerHits atomic.Int64
 }
 
 // New returns a cache bounded to maxBytes of result payload in memory
@@ -127,24 +116,16 @@ func New(maxBytes int64, dir string) (*Cache, error) {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	c := &Cache{
-		maxBytes: maxBytes,
-		lru:      list.New(),
-		byKey:    make(map[string]*list.Element),
+	s, err := incr.Open(maxBytes, dir, logName)
+	if err != nil {
+		return nil, err
 	}
-	if dir != "" {
-		l, err := keylog.Open(dir, logName)
-		if err != nil {
-			return nil, err
-		}
-		c.disk = l
-	}
-	return c, nil
+	return &Cache{store: s}, nil
 }
 
 // Close closes the disk layer's log, if any; the cache must not be used
 // afterwards.
-func (c *Cache) Close() error { return c.disk.Close() }
+func (c *Cache) Close() error { return c.store.Close() }
 
 // SetPeers attaches the farm shard tier. Call once, before serving; the
 // field is read lock-free on every lookup afterwards.
@@ -177,7 +158,7 @@ func (c *Cache) GetCtx(ctx context.Context, key string) (res *Result, ok bool) {
 		if res, ok = c.peers.Fetch(ctx, key); ok {
 			c.hits.Add(1)
 			c.peerHits.Add(1)
-			c.insert(key, res)
+			c.store.Put("", key, res, res.cost())
 			return res, true
 		}
 	}
@@ -190,24 +171,9 @@ func (c *Cache) GetCtx(ctx context.Context, key string) (res *Result, ok bool) {
 // lookup the peer-protocol serving side runs: a peer asking this node for
 // a shard entry must never trigger a recursive peer fetch.
 func (c *Cache) GetLocal(key string) (*Result, bool) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		res := el.Value.(*entry).res
-		c.mu.Unlock()
-		return res, true
-	}
-	c.mu.Unlock()
-
-	if p, ok := c.disk.Get(key); ok {
-		if res, ok := decodeFrame(key, p); ok {
-			c.diskHits.Add(1)
-			c.insert(key, res)
-			return res, true
-		}
-		c.disk.Drop(key)
-	}
-	return nil, false
+	v, ok := c.store.GetDurable("", key, func(p []byte) (any, int64, error) { return decodeFrame(key, p) })
+	res, _ := v.(*Result)
+	return res, ok
 }
 
 // Put stores a result under key in both local layers and — in a farm —
@@ -224,52 +190,26 @@ func (c *Cache) Put(key string, res *Result) {
 // peer-protocol serving side applies when another node pushes a shard
 // entry here (pushing it onward would bounce it around the ring).
 func (c *Cache) PutLocal(key string, res *Result) {
-	c.insert(key, res)
-	if c.disk != nil {
-		buf := framePool.Get().(*[]byte)
-		if p, err := appendFrame((*buf)[:0], res); err == nil {
-			c.disk.Put(key, p) // best effort; disk errors don't fail the compile
-			*buf = p
-		}
-		framePool.Put(buf)
-	}
-}
-
-func (c *Cache) insert(key string, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		old := el.Value.(*entry)
-		c.bytes += res.cost() - old.res.cost()
-		old.res = res
-		c.lru.MoveToFront(el)
-	} else {
-		c.byKey[key] = c.lru.PushFront(&entry{key: key, res: res})
-		c.bytes += res.cost()
-	}
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		e := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.byKey, e.key)
-		c.bytes -= e.res.cost()
-		c.evictions.Add(1)
-	}
+	buf := framePool.Get().(*[]byte)
+	c.store.PutDurable("", key, res, res.cost(), func(any) ([]byte, error) {
+		p, err := appendFrame((*buf)[:0], res)
+		*buf = p
+		return p, err
+	})
+	framePool.Put(buf)
 }
 
 // Counters snapshots the activity counters.
 func (c *Cache) Counters() Counters {
-	c.mu.Lock()
-	entries, bytes := c.lru.Len(), c.bytes
-	c.mu.Unlock()
+	sc := c.store.Counters()
 	return Counters{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		DiskHits:  c.diskHits.Load(),
+		Evictions: sc.Evictions,
+		DiskHits:  sc.DiskHits,
 		PeerHits:  c.peerHits.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
+		Entries:   sc.Entries,
+		Bytes:     sc.Bytes,
 	}
 }
 

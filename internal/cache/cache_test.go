@@ -150,3 +150,36 @@ func TestCompileErrorNotCached(t *testing.T) {
 		t.Fatalf("failed compile left a cache entry: %+v", cs)
 	}
 }
+
+// TestLocalCallsCountNothing pins the counting rule bbd_cache_hit_ratio
+// rests on: the shard server's GetLocal/PutLocal and the worker's local
+// re-check leave Hits, Misses and HitRatio alone, so a request that hops
+// through them is counted once, by its GetCtx.
+func TestLocalCallsCountNothing(t *testing.T) {
+	c, err := New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, ok := c.GetCtx(ctx, "a"); ok {
+		t.Fatal("empty cache hit")
+	}
+	c.PutLocal("a", &Result{Key: "a"})
+	for i := 0; i < 3; i++ {
+		if _, ok := c.GetLocal("a"); !ok {
+			t.Fatal("local put missed")
+		}
+		if _, ok := c.GetLocal("b"); ok {
+			t.Fatal("absent key hit")
+		}
+	}
+	if cs := c.Counters(); cs.Hits != 0 || cs.Misses != 1 || c.HitRatio() != 0 {
+		t.Fatalf("local calls counted: %+v, hit ratio %v", cs, c.HitRatio())
+	}
+	if _, ok := c.GetCtx(ctx, "a"); !ok {
+		t.Fatal("GetCtx missed a stored key")
+	}
+	if cs := c.Counters(); cs.Hits != 1 || cs.Misses != 1 || c.HitRatio() != 0.5 {
+		t.Fatalf("counters = %+v, hit ratio %v; want 1 hit / 1 miss / 0.5", cs, c.HitRatio())
+	}
+}

@@ -3,6 +3,7 @@ package cache
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"slices"
 	"sync"
 )
@@ -12,7 +13,7 @@ import (
 // CIF and the four text views, each raw behind a 4-byte length.
 const logName = "results.log"
 
-func encodeFrame(r *Result) ([]byte, error) { return appendFrame(nil, r) }
+var errBadFrame = errors.New("cache: malformed frame or frame under another key")
 
 // appendFrame appends r's frame to p.
 func appendFrame(p []byte, r *Result) ([]byte, error) {
@@ -30,32 +31,32 @@ func appendFrame(p []byte, r *Result) ([]byte, error) {
 }
 
 // framePool recycles frame buffers across disk puts. A buffer goes back
-// only after keylog.Put has returned, whose WriteAt is then done with it;
-// the log keeps offsets, never the payload.
+// only after the store's PutDurable has returned, which has then written
+// it; the log keeps offsets, never the payload.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 func appendSection[T string | []byte](p []byte, s T) []byte {
 	return append(binary.LittleEndian.AppendUint32(p, uint32(len(s))), s...)
 }
 
-// decodeFrame rebuilds the Result a frame holds, refusing a malformed
-// frame or one stored under another key.
-func decodeFrame(key string, p []byte) (*Result, bool) {
+// decodeFrame rebuilds the Result a frame holds and its LRU cost,
+// refusing a malformed frame or one stored under another key.
+func decodeFrame(key string, p []byte) (any, int64, error) {
 	var sec [6][]byte
 	for i := range sec {
 		if len(p) < 4 || uint64(binary.LittleEndian.Uint32(p)) > uint64(len(p)-4) {
-			return nil, false
+			return nil, 0, errBadFrame
 		}
 		n := 4 + int(binary.LittleEndian.Uint32(p))
 		sec[i], p = p[4:n], p[n:]
 	}
 	res := new(Result)
 	if len(p) != 0 || json.Unmarshal(sec[0], res) != nil || res.Key != key {
-		return nil, false
+		return nil, 0, errBadFrame
 	}
 	res.Sticks, res.Text, res.Block, res.Logical = string(sec[2]), string(sec[3]), string(sec[4]), string(sec[5])
 	if len(sec[1]) > 0 {
 		res.CIF = append([]byte(nil), sec[1]...) // exact size: the read buffer is not kept
 	}
-	return res, true
+	return res, res.cost(), nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bristleblocks/internal/core"
+	"bristleblocks/internal/keylog"
 	"bristleblocks/internal/specgen"
 )
 
@@ -129,19 +130,29 @@ func TestDiskLayerIgnoresCorruptEntries(t *testing.T) {
 	})
 
 	t.Run("frame under another key", func(t *testing.T) {
-		c := openCache(t, 0, t.TempDir())
-		p, err := encodeFrame(&Result{Key: hexKey(2), Chip: "other"})
+		// A record whose checksums hold but whose frame names another key
+		// is refused: the log is written directly, as no cache would.
+		dir := t.TempDir()
+		l, err := keylog.Open(dir, logName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.disk.Put(hexKey(1), p); err != nil {
+		p, err := appendFrame(nil, &Result{Key: hexKey(2), Chip: "other"})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if res, ok := c.Get(hexKey(1)); ok {
-			t.Fatalf("frame stored for %s served as %s", res.Key, hexKey(1))
+		if err := l.Put(hexKey(1), p); err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := c.disk.Get(hexKey(1)); ok {
-			t.Fatal("mismatched frame was not dropped")
+		l.Close()
+		c := openCache(t, 0, dir)
+		for i := 0; i < 2; i++ {
+			if res, ok := c.Get(hexKey(1)); ok {
+				t.Fatalf("get %d: frame stored for %s served as %s", i, res.Key, hexKey(1))
+			}
+		}
+		if cs := c.Counters(); cs.DiskHits != 0 {
+			t.Fatalf("mismatched frame counted as a disk hit: %+v", cs)
 		}
 	})
 
@@ -165,12 +176,18 @@ func TestDiskLayerIgnoresCorruptEntries(t *testing.T) {
 		// Two caches own one directory: both append at offset 0, so the
 		// second clobbers the record the first has indexed with one of
 		// the same length whose checksums hold; only its key differs.
+		// a's one-byte budget keeps only its newest entry in memory, so
+		// a's lookup of the clobbered key goes to disk.
 		dir := t.TempDir()
-		a, b := openCache(t, 0, dir), openCache(t, 0, dir)
+		a, b := openCache(t, 1, dir), openCache(t, 1, dir)
 		a.Put(hexKey(1), &Result{Key: hexKey(1), Chip: "a"})
 		b.Put(hexKey(2), &Result{Key: hexKey(2), Chip: "b"})
-		if p, ok := a.disk.Get(hexKey(1)); ok {
-			t.Fatalf("clobbered record served: %q", p)
+		a.Put(hexKey(3), &Result{Key: hexKey(3), Chip: "a"})
+		if res, ok := a.Get(hexKey(1)); ok {
+			t.Fatalf("clobbered record served: %+v", res)
+		}
+		if cs := a.Counters(); cs.DiskHits != 0 || cs.Entries != 1 {
+			t.Fatalf("counters = %+v, want no disk hit and 1 entry", cs)
 		}
 	})
 }
@@ -189,16 +206,26 @@ func TestDiskLayerNewestWins(t *testing.T) {
 	}
 }
 
+// TestDiskStoreRefusesBadKeys puts results under keys that are not hex
+// SHA-256s: each is served from memory but never reaches the log.
 func TestDiskStoreRefusesBadKeys(t *testing.T) {
-	c := openCache(t, 0, t.TempDir())
+	dir := t.TempDir()
+	c := openCache(t, 0, dir)
 	for _, k := range []string{"", "short", "../../../../etc/passwd", string(make([]byte, 64)), hexKey(1)[:63] + "G"} {
-		p, err := encodeFrame(&Result{Key: k})
-		if err != nil {
-			t.Fatal(err)
+		c.Put(k, &Result{Key: k})
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("key %q missed the memory layer", k)
 		}
-		if err := c.disk.Put(k, p); err == nil {
-			t.Fatalf("key %q was accepted", k)
-		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 0 {
+		t.Fatalf("log is %d bytes after bad-key puts, want empty", fi.Size())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("cache dir holds %d entries, want only %s", len(entries), logName)
 	}
 }
 

@@ -1,18 +1,22 @@
 // Package incr is the incremental compiler's content-addressed artifact
-// store. Where internal/cache memoizes whole compilations (spec in, mask
-// set out), incr works at the paper's natural reuse boundary — the
-// procedural cell. Each Pass 1 unit (an element's generated columns, a
-// cell's stretch result) and each downstream pass product (the decoder, the
-// pad ring) is keyed by a SHA-256 over everything that can change it:
-// element kind and parameters, the voted globals that reach it (pitch and
-// rail widening), its bus context, and core.Version. An edited spec then
-// reuses every unchanged artifact and pays only for the delta.
+// store, and the byte-budgeted store under internal/cache as well. Where
+// internal/cache memoizes whole compilations (spec in, mask set out), incr
+// works at the paper's natural reuse boundary — the procedural cell. Each
+// Pass 1 unit (an element's generated columns, a cell's stretch result)
+// and each downstream pass product (the decoder, the pad ring) is keyed by
+// a SHA-256 over everything that can change it: element kind and
+// parameters, the voted globals that reach it (pitch and rail widening),
+// its bus context, and core.Version. An edited spec then reuses every
+// unchanged artifact and pays only for the delta.
 //
-// Entries live in a byte-budgeted in-memory LRU. Artifacts whose types
-// survive serialization (stretched cells: all-exported leaves) may also be
-// written through to an optional disk layer, the same keylog internal/cache
-// uses (artifacts.log in the store's directory), so a restarted daemon
-// warms up from disk.
+// Entries live in a byte-budgeted in-memory LRU over an optional disk
+// layer, an internal/keylog log in the store's directory. Values whose
+// caller supplies a codec (GetDurable/PutDurable) are written through to
+// it and promoted back into memory on a disk hit. The compile cache keeps
+// its two local layers in one Store (results.log); every artifact store
+// opened today — bbd sessions, bristlec -watch, the invariant harness —
+// is memory-only (New with no directory), so stretched cells, the one
+// artifact kind with a codec, never reach an artifacts.log in practice.
 //
 // Keys carry a second identity, the group: the stable name of the slot the
 // artifact fills ("gen:<chip>:<elem>", "st:<cell-id>", ...). Putting a new
@@ -66,6 +70,18 @@ type Counters struct {
 	Bytes   int64
 }
 
+// Add adds o's counters, field by field, into c: the one sum every total
+// over several stores goes through.
+func (c *Counters) Add(o Counters) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Evictions += o.Evictions
+	c.Invalidations += o.Invalidations
+	c.DiskHits += o.DiskHits
+	c.Entries += o.Entries
+	c.Bytes += o.Bytes
+}
+
 // Store is the artifact store. The zero value is not usable; use New. A
 // nil *Store is valid everywhere and behaves as "no caching".
 type Store struct {
@@ -92,11 +108,18 @@ type entry struct {
 
 // New returns a store bounded to maxBytes of artifact cost in memory
 // (maxBytes <= 0 selects 64 MiB). dir, when non-empty, enables the on-disk
-// layer rooted there (created if needed), which Close releases.
+// layer, artifacts.log in dir (created if needed), which Close releases.
 func New(maxBytes int64, dir string) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
+	return Open(maxBytes, dir, "artifacts.log")
+}
+
+// Open is New with the budget taken as given (the LRU always keeps its
+// newest entry) and the disk layer's log named: dir/name. One process
+// owns a directory's log: a second writer can only cause misses.
+func Open(maxBytes int64, dir, name string) (*Store, error) {
 	s := &Store{
 		maxBytes: maxBytes,
 		lru:      list.New(),
@@ -104,7 +127,7 @@ func New(maxBytes int64, dir string) (*Store, error) {
 		byGroup:  make(map[string]string),
 	}
 	if dir != "" {
-		l, err := keylog.Open(dir, "artifacts.log")
+		l, err := keylog.Open(dir, name)
 		if err != nil {
 			return nil, err
 		}
@@ -168,8 +191,9 @@ func (s *Store) Put(group, key string, val any, cost int64) { s.PutDurable(group
 
 // PutDurable is Put with disk write-through: encode renders the artifact
 // to the blob stored on disk (best effort — disk errors never fail a
-// compile). Without a disk layer or an encode it is exactly Put. Nil-safe
-// no-op.
+// compile). The blob is written before PutDurable returns and not kept,
+// so encode may fill a buffer its caller reuses. Without a disk layer or
+// an encode it is exactly Put. Nil-safe no-op.
 func (s *Store) PutDurable(group, key string, val any, cost int64, encode func(any) ([]byte, error)) {
 	if s == nil {
 		return

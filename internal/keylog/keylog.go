@@ -1,7 +1,9 @@
-// Package keylog is the disk layer under both caches (compile results and
-// incremental artifacts): one append-only file of keyed records, indexed
-// in memory. A put appends to the open file, never creating one; a get is
-// a map probe plus one positioned read, so a miss makes no system call.
+// Package keylog is the disk layer of incr.Store, the byte-budgeted store
+// under both caches (compile results in results.log, incremental
+// artifacts in artifacts.log): one append-only file of keyed records,
+// indexed in memory. incr.Open is its one caller. A put appends to the
+// open file, never creating one; a get is a map probe plus one positioned
+// read, so a miss makes no system call.
 //
 // A record is a header (its own CRC-32C, the payload's length and CRC-32C,
 // the 64-hex-digit key) and the payload. Open indexes the headers alone

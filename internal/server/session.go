@@ -55,8 +55,9 @@ type sessionTable struct {
 	budget  int64 // per-session store byte budget
 	created int64 // sessions ever created
 	expired int64 // sessions retired by TTL or LRU displacement
-	// retired accumulates the counters of every retired session's store,
-	// so the exported totals are monotonic across session churn.
+	// retired accumulates the counters of every retired session's store
+	// (its Entries and Bytes gauges stay 0), so the exported totals are
+	// monotonic across session churn.
 	retired incr.Counters
 }
 
@@ -139,11 +140,8 @@ func (t *sessionTable) expireLocked(now time.Time) {
 // bbd_incr_* totals, which took s's counters here.
 func (t *sessionTable) retireLocked(s *session) {
 	c := s.store.Counters()
-	t.retired.Hits += c.Hits
-	t.retired.Misses += c.Misses
-	t.retired.Evictions += c.Evictions
-	t.retired.Invalidations += c.Invalidations
-	t.retired.DiskHits += c.DiskHits
+	c.Entries, c.Bytes = 0, 0 // gauges: totals counts live stores only
+	t.retired.Add(c)
 	t.expired++
 	delete(t.byID, s.id)
 }
@@ -154,16 +152,8 @@ func (t *sessionTable) totals() (incr.Counters, int64, int64, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sum := t.retired
-	sum.Entries, sum.Bytes = 0, 0
 	for _, s := range t.byID {
-		c := s.store.Counters()
-		sum.Hits += c.Hits
-		sum.Misses += c.Misses
-		sum.Evictions += c.Evictions
-		sum.Invalidations += c.Invalidations
-		sum.DiskHits += c.DiskHits
-		sum.Entries += c.Entries
-		sum.Bytes += c.Bytes
+		sum.Add(s.store.Counters())
 	}
 	return sum, t.created, t.expired, len(t.byID)
 }
