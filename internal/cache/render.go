@@ -18,21 +18,35 @@ import (
 // comparable bytes. The CIF is stored as an exact-length copy: cif.Append
 // reserves from an estimate, and a cached entry should hold (and be
 // charged for) only its bytes. It is appended into a pooled scratch
-// buffer, so the copy is the only CIF allocation a render makes.
+// buffer (RenderTo), so the copy is the only CIF allocation a render
+// makes.
 func Render(chip *core.Chip) (*Result, error) {
+	bp := cifBufs.Get().(*[]byte)
+	defer cifBufs.Put(bp)
+	res, err := RenderTo(chip, bp)
+	if err != nil {
+		return nil, err
+	}
+	text := make([]byte, len(res.CIF)) // not bytes.Clone, which rounds cap up
+	copy(text, res.CIF)
+	res.CIF = text
+	return res, nil
+}
+
+// RenderTo is Render for a result that is never stored, such as an edit
+// session's reply: the CIF is appended into *buf from its start and not
+// copied out, so res.CIF aliases *buf until the buffer's next use. *buf
+// keeps the grown buffer for that next use.
+func RenderTo(chip *core.Chip, buf *[]byte) (*Result, error) {
 	lambda := chip.Spec.LambdaCentimicrons
 	if lambda <= 0 {
 		lambda = cif.DefaultLambdaCentimicrons
 	}
-	bp := cifBufs.Get().(*[]byte)
-	defer cifBufs.Put(bp)
-	buf, err := cif.Append((*bp)[:0], chip.Mask, lambda)
-	*bp = buf
+	text, err := cif.Append((*buf)[:0], chip.Mask, lambda)
+	*buf = text
 	if err != nil {
 		return nil, err
 	}
-	text := make([]byte, len(buf)) // not bytes.Clone, which rounds cap up
-	copy(text, buf)
 	ph := &chip.Phases
 	sticks := ""
 	if chip.Sticks != nil {
@@ -55,6 +69,6 @@ func Render(chip *core.Chip) (*Result, error) {
 	}, nil
 }
 
-// cifBufs recycles the scratch buffers Render appends CIF into; nothing
-// keeps one past the call, which copies out the exact bytes.
+// cifBufs recycles the scratch buffers Render has RenderTo append CIF
+// into; nothing keeps one past the call, which copies out the exact bytes.
 var cifBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,6 +109,38 @@ func TestRenderCIFExactLength(t *testing.T) {
 		}
 		if cap(res.CIF) != len(res.CIF) {
 			t.Errorf("seed %d: cap(CIF) = %d, len = %d", seed, cap(res.CIF), len(res.CIF))
+		}
+	}
+}
+
+// TestRenderToSharesRender holds the two render entry points to one
+// result: RenderTo's is Render's with the CIF left in the caller's buffer
+// instead of copied out, and a warm buffer spares it the CIF allocation.
+func TestRenderToSharesRender(t *testing.T) {
+	var buf []byte
+	for seed := int64(1); seed <= 4; seed++ {
+		chip, err := core.Compile(specgen.FromSeed(seed, &specgen.Config{ForPads: true}), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Render(chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RenderTo(chip, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: RenderTo's result differs from Render's", seed)
+		}
+		if len(got.CIF) == 0 || &got.CIF[0] != &buf[0] {
+			t.Errorf("seed %d: RenderTo's CIF does not alias the caller's buffer", seed)
+		}
+		copied := testing.AllocsPerRun(5, func() { Render(chip) })
+		inPlace := testing.AllocsPerRun(5, func() { RenderTo(chip, &buf) })
+		if inPlace >= copied {
+			t.Errorf("seed %d: RenderTo made %.0f allocations, Render %.0f; want fewer", seed, inPlace, copied)
 		}
 	}
 }

@@ -148,7 +148,7 @@ type Chip struct {
 // Version identifies the compiler for content-addressed caching: any
 // change that can alter the compiled output for the same (spec, options)
 // pair must bump it, or cache layers will serve stale results.
-const Version = "bristleblocks-9"
+const Version = "bristleblocks-10"
 
 // Compile runs the three-pass silicon compiler on the specification.
 func Compile(spec *Spec, opts *Options) (*Chip, error) {

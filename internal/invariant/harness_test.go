@@ -17,7 +17,9 @@ import (
 
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/desc"
+	"bristleblocks/internal/drc"
 	"bristleblocks/internal/invariant"
+	"bristleblocks/internal/layer"
 	"bristleblocks/internal/scenario"
 	"bristleblocks/internal/server"
 	"bristleblocks/internal/server/farmtest"
@@ -98,22 +100,36 @@ func TestHarnessDifferential(t *testing.T) {
 // TestHarnessPadsDifferential is the Pass 3 leg: pads-enabled compiles of
 // ForPads specs must be byte-identical across pool sizes — the rip-up
 // ladder's moat×strategy race has to be invisible in the mask set and
-// the statistics.
+// the statistics — and each chip's metal, the layer Pass 3 routes on,
+// must pass DRC. (The other layers wait for the decoder's poly spacing
+// fixes.)
 func TestHarnessPadsDifferential(t *testing.T) {
 	jobs := harnessJobs(t)
 	cacheDir := t.TempDir()
+	var notMetal []layer.Layer
+	for l := layer.Layer(0); l < layer.NumLayers; l++ {
+		if l != layer.Metal {
+			notMetal = append(notMetal, l)
+		}
+	}
 	bad := 0
 	for i := 0; i < *flagPadsN; i++ {
 		seed := *flagSeed + int64(i)
 		spec := specgen.FromSeed(seed, &specgen.Config{ForPads: true})
-		if vs := invariant.Differential(spec, &core.Options{}, jobs, cacheDir); len(vs) > 0 {
+		vs := invariant.Differential(spec, &core.Options{}, jobs, cacheDir)
+		if chip, err := core.Compile(spec, &core.Options{Parallelism: 1}); err == nil {
+			for _, v := range drc.Check(chip.Mask, layer.MeadConway(), &drc.Options{SkipLayers: notMetal}) {
+				vs = append(vs, "drc: "+v.String())
+			}
+		} // a failed compile is already among Differential's findings
+		if len(vs) > 0 {
 			bad++
 			for _, v := range vs {
 				t.Errorf("seed %d (%s): %s", seed, spec.Name, v)
 			}
 		}
 	}
-	t.Logf("pads differential: %d specs diffed at jobs=%v (first seed %d), %d with diffs", *flagPadsN, jobs, *flagSeed, bad)
+	t.Logf("pads differential: %d specs diffed at jobs=%v and metal DRC-checked (first seed %d), %d with findings", *flagPadsN, jobs, *flagSeed, bad)
 }
 
 // TestHarnessIncrementalDifferential is the incremental-compiler leg:

@@ -173,16 +173,16 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 		moat = geom.L(140)
 	}
 
-	// The (moat, strategy) grid in priority order: all three strategies at
-	// each moat, the moat widening by half when a whole row congests.
+	// The (moat, strategy) grid in priority order: every strategy at each
+	// moat, the moat widening by half when a whole row congests.
 	type combo struct {
 		moat     geom.Coord
-		strategy int
+		strategy strategy
 	}
 	var combos []combo
 	for attempt, m := 0, moat; attempt < 6; attempt, m = attempt+1, m+m/2 {
-		for strategy := 0; strategy < 3; strategy++ {
-			combos = append(combos, combo{m, strategy})
+		for _, st := range strategies {
+			combos = append(combos, combo{m, st})
 		}
 	}
 
@@ -285,8 +285,37 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 
 func buildAttempt(coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord) (*Ring, error) {
 	var rs RouteStats
-	return buildAttemptStrategy(context.Background(), coreBounds, reqs, opts, moat, 0, &rs, &routeBufs{})
+	return buildAttemptStrategy(context.Background(), coreBounds, reqs, opts, moat, strategies[0], &rs, &routeBufs{})
 }
+
+// strategy is one rung of the rip-up ladder's row: how it orders a
+// placement's routing units and breaks its searches' ties, and the seed of
+// its rip-up shuffle.
+type strategy struct {
+	// river orders the units by target angle from a cut angle no wire's
+	// arc covers, so the ring becomes a channel routed in river order, and
+	// routes them with the core-hugging tie-break (route.Router.Hug): each
+	// wire takes the innermost free track and the next one nests around
+	// it. Without river (or when every angle is covered) units go in order
+	// of stub-to-target distance; without it, searches are plain FIFO.
+	river bool
+	seed  int64
+}
+
+// strategies is the ladder's row, in priority order: river order, then
+// distance order as the fallback. Distance order does not nest its wires,
+// so hugging there walls outer wires in: with hugging on both, the
+// SkipRotoRouter ring of TestRotoRouterImproves needs a 472λ moat instead
+// of 140λ.
+var strategies = [...]strategy{
+	{river: true, seed: 17},
+	{river: false, seed: 2*7919 + 17},
+}
+
+// routePitch is the routing grid's pitch: even a wire pinned to one edge
+// of its cell (off-grid endpoints) keeps 3λ of metal spacing from a wire
+// centered in the neighboring cell.
+const routePitch = 14 * geom.Lambda
 
 // routeBufs is one ladder worker's routing grid. The worker reuses it for
 // every combo and rip-up attempt it runs, and it grows to the largest grid
@@ -299,22 +328,18 @@ type routeBufs struct {
 // grid returns the worker's router re-gridded over region at the routing
 // pitch, allocating it on first use.
 func (b *routeBufs) grid(region geom.Rect) (*route.Router, error) {
-	// 14λ pitch: even a wire pinned to one edge of its cell (off-grid
-	// endpoints) keeps 3λ of metal spacing from a wire centered in the
-	// neighboring cell.
-	pitch := geom.L(14)
 	if b.router == nil {
-		r, err := route.New(region, pitch)
+		r, err := route.New(region, routePitch)
 		if err != nil {
 			return nil, err
 		}
 		b.router = r
 		return r, nil
 	}
-	return b.router, b.router.Reshape(region, pitch)
+	return b.router, b.router.Reshape(region, routePitch)
 }
 
-func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord, strategy int, rs *RouteStats, bufs *routeBufs) (*Ring, error) {
+func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord, st strategy, rs *RouteStats, bufs *routeBufs) (*Ring, error) {
 
 	// Shared nets collapse to one pad each; the extra connection points
 	// are wired to the same pad net afterwards.
@@ -386,8 +411,14 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	// strategies estimate nesting differently; on a failure the failed
 	// wire is ripped up to the front of the order and everything reroutes
 	// (classic rip-up-and-reroute).
-	baseOrder, cutAngle, hasCut := routingOrder(placements, center, strategy)
+	baseOrder, cutAngle, hasCut := routingOrder(placements, center, st.river)
 	band := geom.L(16)
+	// A hugging search ranks moat cells by their distance from the core
+	// band, one ring per routing track across the moat.
+	rings := 1
+	if st.river {
+		rings = int(moat/routePitch) + 1
+	}
 	var wires []Wire
 	var lastErr error
 	// Every attempt routes from the same setup (setupGrid), so the first
@@ -400,7 +431,7 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 			if err != nil {
 				return nil, err
 			}
-			setupGrid(g, bounds, coreBounds, band, placements, extra, opts, cutAngle, hasCut)
+			setupGrid(g, bounds, coreBounds, band, rings, placements, extra, opts, cutAngle, hasCut)
 			g.Checkpoint()
 			grid = g
 		} else {
@@ -444,7 +475,7 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 			order = append([]int(nil), baseOrder...)
 			if attempt%2 == 1 {
 				if rng == nil {
-					rng = rand.New(rand.NewSource(int64(strategy)*7919 + 17))
+					rng = rand.New(rand.NewSource(st.seed))
 				}
 				rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 			}
@@ -486,9 +517,12 @@ type routeErr struct {
 func (e *routeErr) Error() string { return e.err.Error() }
 
 // setupGrid blocks the static obstacles of one placement on an all-free
-// router and pre-claims every connection point's entry corridor. Nothing
-// here depends on the routing order, so a ladder runs it once per combo.
-func setupGrid(router *route.Router, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, extra map[string][]Request, opts *Options, cutAngle float64, hasCut bool) {
+// router, sets the combo's search tie-break (rings around the core band;
+// one ring is FIFO), and pre-claims every connection point's entry
+// corridor. Nothing here depends on the routing order, so a ladder runs it
+// once per combo.
+func setupGrid(router *route.Router, bounds, coreBounds geom.Rect, band geom.Coord, rings int, placements []placed, extra map[string][]Request, opts *Options, cutAngle float64, hasCut bool) {
+	router.Hug(coreBounds.Inset(-band), rings)
 	// The core plus a reserved band around it is an obstacle: routed wires
 	// stay out of the band, and each connection point is reached by a
 	// straight perpendicular leg crossing it, so wires cannot seal off a
@@ -745,18 +779,17 @@ func (a arc) covers(ang float64) bool {
 	return ang >= a.start || ang <= a.end
 }
 
-// routingOrder picks the base routing order. Strategies 0 and 1 sort by
+// routingOrder picks the base routing order. In river order it sorts by
 // target angle from a cut angle no arc covers, so the ring becomes a
-// channel routed in river order (the two differ only in the rip-up shuffle
-// seed); strategy 2, and strategies 0 and 1 when every angle is covered,
-// sort by Manhattan stub-to-target distance.
-func routingOrder(placements []placed, center geom.Point, strategy int) ([]int, float64, bool) {
+// channel routed in river order; otherwise, and when every angle is
+// covered, it sorts by Manhattan stub-to-target distance.
+func routingOrder(placements []placed, center geom.Point, river bool) ([]int, float64, bool) {
 	n := len(placements)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	if strategy < 2 {
+	if river {
 		arcs := make([]arc, n)
 		var ends []float64
 		for i, p := range placements {
@@ -958,8 +991,10 @@ func clockAngle(p, center geom.Point) float64 {
 // from the even division of the perimeter and are then pulled toward the
 // sorted connection points' own positions, keeping the bonding pitch (the
 // paper's even-spacing requirement is a bondability constraint; pulling
-// within that constraint shortens every wire). Slot positions snap to the
-// routing grid so every pad stub sits exactly on a routing track.
+// within that constraint shortens every wire). Neither branch snaps a slot
+// to the routing grid — even spacing divides the perimeter exactly, so its
+// slots need not even sit on the λ grid — and a pad stub may fall anywhere
+// in its routing cell; the routing pitch allows for that (routePitch).
 func makeSlots(core geom.Rect, moat geom.Coord, n int, reqs []Request, even bool) ([]slot, geom.Rect, error) {
 	inner := core.Inset(-moat)
 	outer := inner.Inset(-geom.L(celllib.PadHeight))

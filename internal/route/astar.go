@@ -3,19 +3,26 @@
 // On a unit-cost Manhattan grid the f-value of a neighbor differs from its
 // parent's by exactly 0 or +2 (g grows by 1, the Manhattan heuristic
 // changes by exactly ±1, and f parity is fixed by the start/goal cells).
-// The open list therefore needs no heap: two FIFO buckets suffice — `cur`
-// holds the current f-level, `next` holds f+2, and when cur drains the
-// buckets swap.
+// The open list therefore needs no heap: two levels suffice — the current
+// f-level, and f+2 — and when the current level drains the two swap.
 //
-// Ties within a bucket pop in push (FIFO) order and neighbors are visited
-// in a fixed order, so the search — and every path it returns — is fully
-// deterministic.
+// Within one level, cells pop by ring, then in push (FIFO) order. A cell's
+// ring is its Chebyshev distance in cells from the router's hug rectangle
+// (see Router.Hug), clamped to the ring count, and each level keeps one
+// FIFO per ring: of two equally short paths, the search extends the one
+// nearer the rectangle first, so wires routed around a blocked core hug
+// its contour — the track discipline of river routing. A router with one
+// ring (the default) is plain FIFO order. Neighbors are visited in a fixed
+// order, so the search — and every path it returns — is fully
+// deterministic under either discipline.
 //
 // A cell discovered a second time on a cheaper path is re-pushed with the
 // improved g (mark-on-discovery A* is NOT optimal); the stale queue entry
 // is skipped at pop via the closed bit. With the consistent Manhattan
-// heuristic this guarantees returned paths have Lee-optimal length, which
-// the property tests assert against a reference Lee oracle.
+// heuristic every cell closes at its optimal g whatever the order within
+// a level, so returned paths have Lee-optimal length under both
+// disciplines, which the property tests assert against a reference Lee
+// oracle.
 //
 // The kernel runs at memory speed. Each cell's search state — the epoch
 // that discovered it, a closed bit, the step that reached it, and its g —
@@ -29,7 +36,8 @@
 // All per-search state lives in a scratch struct reused across calls:
 // records are invalidated by bumping the epoch instead of clearing, so a
 // search allocates nothing in steady state (BenchmarkSearch pins 0
-// allocs/op). A scratch grows to the largest grid its router is given.
+// allocs/op under both disciplines). A scratch grows to the largest grid
+// and ring count its router is given.
 
 package route
 
@@ -79,8 +87,7 @@ type node struct {
 type scratch struct {
 	cells []cell
 	epoch uint32
-	cur   []node       // FIFO bucket for the current f-level
-	next  []node       // FIFO bucket for f-level + 2
+	fr    frontier     // the open list
 	path  []node       // walk-back buffer, goal first
 	pts   []geom.Point // Route's point path, before simplify
 	simp  []geom.Point // and after
@@ -107,6 +114,91 @@ func (r *Router) scratch() *scratch {
 		r.sc.cells = make([]cell, max(n, 2*len(r.sc.cells)))
 	}
 	return r.sc
+}
+
+// frontier returns the scratch's open list, empty, with one FIFO per ring
+// at each of its two levels.
+func (sc *scratch) frontier(rings int32) *frontier {
+	f := &sc.fr
+	// One bucket past the last ring stays empty: it stops pop's scan.
+	f.cur, f.next = withLen(f.cur, int(rings)+1), withLen(f.next, int(rings)+1)
+	f.lo, f.nlo = rings, rings
+	return f
+}
+
+// withLen returns b at length n, keeping the buckets (and their queue
+// capacity) past its current length.
+func withLen(b []bucket, n int) []bucket {
+	if n <= cap(b) {
+		return b[:n]
+	}
+	return append(b[:cap(b)], make([]bucket, n-cap(b))...)
+}
+
+// bucket is one ring's FIFO at one f-level: q[head:] are still queued.
+type bucket struct {
+	q    []node
+	head int
+}
+
+// frontier is the open list: one FIFO per ring at the current f-level
+// (cur) and at f+2 (next), each level with an always-empty bucket past its
+// last ring. A pop takes the lowest ring that holds an entry at the
+// current level; when that level drains, the levels swap. Every bucket is
+// empty between searches.
+type frontier struct {
+	cur, next []bucket
+	lo, nlo   int32 // no ring below lo holds an entry in cur; nlo, in next
+	nNext     int64 // entries queued in next
+}
+
+// push queues n in ring k, at the current level when same is set and at
+// f+2 otherwise.
+func (f *frontier) push(n node, k int32, same bool) {
+	if same {
+		f.cur[k].q = append(f.cur[k].q, n)
+		f.lo = min(f.lo, k)
+		return
+	}
+	f.next[k].q = append(f.next[k].q, n)
+	f.nNext++
+	f.nlo = min(f.nlo, k)
+}
+
+// pop dequeues the next entry: lowest ring first, FIFO within a ring.
+// The search inlines its fast path — the head of ring lo — and calls pop
+// for the rest: pop empties each drained bucket it passes, so the level it
+// leaves behind is ready to take f+2's pushes, and swaps the levels when
+// the current one runs out.
+func (f *frontier) pop() (node, bool) {
+	last := int32(len(f.cur) - 1) // the empty stop bucket
+	for {
+		for ; f.lo < last; f.lo++ {
+			b := &f.cur[f.lo]
+			if b.head < len(b.q) {
+				n := b.q[b.head]
+				b.head++
+				return n, true
+			}
+			b.q, b.head = b.q[:0], 0
+		}
+		if f.nNext == 0 {
+			return node{}, false
+		}
+		f.cur, f.next = f.next, f.cur
+		f.lo, f.nlo, f.nNext = f.nlo, last, 0
+	}
+}
+
+// clear empties every bucket of both levels, for a search that stopped
+// at its goal with entries still queued.
+func (f *frontier) clear() {
+	for _, lv := range [2][]bucket{f.cur, f.next} {
+		for k := range lv {
+			lv[k].q, lv[k].head = lv[k].q[:0], 0
+		}
+	}
+	f.nNext = 0
 }
 
 // nextEpoch invalidates all marks. When the epoch outgrows its 29 bits
@@ -237,22 +329,23 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]node, bool) {
 	}
 
 	nx, ny := int32(r.nx), int32(r.ny)
-	cur, next := sc.cur[:0], sc.next[:0]
-	cur = append(cur, node{start, int32(sx), int32(sy)})
-	head := 0
-	var expanded, peak int64 = 0, 1
+	h := r.hug
+	f := sc.frontier(h.rings)
+	f.push(node{start, int32(sx), int32(sy)}, h.ring(int32(sx), int32(sy)), true)
+	var expanded, open, peak int64 = 0, 1, 1 // open counts queued entries, stale ones included
 
 	found := false
 	for {
-		if head == len(cur) {
-			if len(next) == 0 {
-				break
-			}
-			cur, next = next, cur[:0]
-			head = 0
+		var c node
+		if b := &f.cur[f.lo]; b.head < len(b.q) {
+			c = b.q[b.head]
+			b.head++
+		} else if n, ok := f.pop(); ok {
+			c = n
+		} else {
+			break
 		}
-		c := cur[head]
-		head++
+		open--
 		cs := &cells[c.i]
 		if cs.mark&closedBit != 0 {
 			continue // stale entry superseded by a cheaper re-push
@@ -271,48 +364,36 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]node, bool) {
 		if c.x+1 < nx {
 			ni := c.i + 1
 			if o := owner[ni]; (o == freeCell || o == id) && cells[ni].relax(e, ng, stepPosX) {
-				if c.x < tgt.x {
-					cur = append(cur, node{ni, c.x + 1, c.y})
-				} else {
-					next = append(next, node{ni, c.x + 1, c.y})
-				}
+				f.push(node{ni, c.x + 1, c.y}, h.ring(c.x+1, c.y), c.x < tgt.x)
+				open++
 			}
 		}
 		if c.x > 0 {
 			ni := c.i - 1
 			if o := owner[ni]; (o == freeCell || o == id) && cells[ni].relax(e, ng, stepNegX) {
-				if c.x > tgt.x {
-					cur = append(cur, node{ni, c.x - 1, c.y})
-				} else {
-					next = append(next, node{ni, c.x - 1, c.y})
-				}
+				f.push(node{ni, c.x - 1, c.y}, h.ring(c.x-1, c.y), c.x > tgt.x)
+				open++
 			}
 		}
 		if c.y+1 < ny {
 			ni := c.i + nx
 			if o := owner[ni]; (o == freeCell || o == id) && cells[ni].relax(e, ng, stepPosY) {
-				if c.y < tgt.y {
-					cur = append(cur, node{ni, c.x, c.y + 1})
-				} else {
-					next = append(next, node{ni, c.x, c.y + 1})
-				}
+				f.push(node{ni, c.x, c.y + 1}, h.ring(c.x, c.y+1), c.y < tgt.y)
+				open++
 			}
 		}
 		if c.y > 0 {
 			ni := c.i - nx
 			if o := owner[ni]; (o == freeCell || o == id) && cells[ni].relax(e, ng, stepNegY) {
-				if c.y > tgt.y {
-					cur = append(cur, node{ni, c.x, c.y - 1})
-				} else {
-					next = append(next, node{ni, c.x, c.y - 1})
-				}
+				f.push(node{ni, c.x, c.y - 1}, h.ring(c.x, c.y-1), c.y > tgt.y)
+				open++
 			}
 		}
-		if f := int64(len(cur)-head) + int64(len(next)); f > peak {
-			peak = f
+		if open > peak {
+			peak = open
 		}
 	}
-	sc.cur, sc.next = cur[:0], next[:0]
+	f.clear()
 	r.stats.CellsExpanded += expanded
 	if peak > r.stats.FrontierPeak {
 		r.stats.FrontierPeak = peak

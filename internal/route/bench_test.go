@@ -13,15 +13,24 @@ import (
 // that mixes routes around the core with walled-in targets (full failed
 // floods, then flood-cache answers). Nothing is claimed, so every
 // iteration repeats the same searches; ns/cell is the time per expanded
-// cell, and a steady-state op allocates nothing.
+// cell, and a steady-state op allocates nothing. It runs under both
+// tie-breaks: one-ring FIFO, and hugging the core with one ring per cell
+// of the widest moat side.
 func BenchmarkSearch(b *testing.B) {
+	b.Run("fifo", func(b *testing.B) { benchSearch(b, 1) })
+	b.Run("hug", func(b *testing.B) { benchSearch(b, 41) })
+}
+
+func benchSearch(b *testing.B, rings int) {
 	pitch := geom.L(14)
 	const nx, ny = 160, 140
 	r, err := New(geom.R(0, 0, nx*pitch, ny*pitch), pitch)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Block(geom.R(40*pitch, 35*pitch, 120*pitch, 105*pitch), "core!")
+	core := geom.R(40*pitch, 35*pitch, 120*pitch, 105*pitch)
+	r.Block(core, "core!")
+	r.Hug(core, rings)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		x, y := rng.Intn(nx), rng.Intn(ny)

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bristleblocks/internal/geom"
@@ -54,62 +55,85 @@ func leeOracle(r *Router, net string, sx, sy, tx, ty int) (int, bool) {
 // random obstacle fields and checks every returned path against the
 // reference: in bounds, Manhattan-contiguous, clear of obstacles, and
 // exactly Lee-optimal in length (A* with a consistent heuristic must
-// never return a longer path, and it cannot return a shorter one).
+// never return a longer path, and it cannot return a shorter one). It runs
+// under both tie-breaks — one-ring FIFO, and hugging a blocked central
+// core — and a second run of the same field must return the same paths.
 func TestRouteMatchesLeeOracle(t *testing.T) {
 	const pitch = geom.Coord(32)
 	region := geom.R(0, 0, 24*pitch, 24*pitch)
-	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			r := mustRouter(t, region, pitch)
-			for i := 0; i < 10; i++ {
-				x := geom.Coord(rng.Intn(22)) * pitch
-				y := geom.Coord(rng.Intn(22)) * pitch
-				w := geom.Coord(1+rng.Intn(6)) * pitch
-				h := geom.Coord(1+rng.Intn(6)) * pitch
-				r.Block(geom.R(x, y, x+w, y+h), "obs")
-			}
-			for pair := 0; pair < 24; pair++ {
-				net := fmt.Sprintf("n%d", pair)
-				fx, fy := rng.Intn(24), rng.Intn(24)
-				tx, ty := rng.Intn(24), rng.Intn(24)
-				from := r.center(fx, fy)
-				to := r.center(tx, ty)
-				if o := r.Owner(from); o != "" {
-					continue // start inside an obstacle or an earlier net
+	core := geom.R(9*pitch, 9*pitch, 15*pitch, 14*pitch)
+	for _, rings := range []int{1, 10} {
+		for seed := int64(1); seed <= 8; seed++ {
+			seed, rings := seed, rings
+			t.Run(fmt.Sprintf("rings%d-seed%d", rings, seed), func(t *testing.T) {
+				first := routeLeeField(t, region, pitch, core, rings, seed)
+				if again := routeLeeField(t, region, pitch, core, rings, seed); !reflect.DeepEqual(again, first) {
+					t.Fatalf("a second run returned different paths:\n%v\nvs\n%v", again, first)
 				}
-				if o := r.Owner(to); o != "" {
-					continue
-				}
-				// Oracle first: Route claims cells on success and would
-				// change the answer.
-				optimal, reachable := leeOracle(r, net, fx, fy, tx, ty)
-				pts, err := r.Route(net, from, to)
-				if !reachable {
-					if err == nil {
-						t.Fatalf("pair %d: oracle says unreachable, Route found %v", pair, pts)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("pair %d: oracle says reachable in %d steps, Route failed: %v", pair, optimal, err)
-				}
-				checkManhattan(t, pts, from, to)
-				for _, p := range pts {
-					if !region.Contains(p) {
-						t.Fatalf("pair %d: point %v out of bounds", pair, p)
-					}
-					if o := r.Owner(p); o != net {
-						t.Fatalf("pair %d: path point %v owned by %q, want %q", pair, p, o, net)
-					}
-				}
-				if got, want := PathLength(pts), geom.Coord(optimal)*pitch; got != want {
-					t.Fatalf("pair %d: path length %d, Lee-optimal is %d", pair, got, want)
-				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// routeLeeField is one TestRouteMatchesLeeOracle run: a seeded obstacle
+// field, a core blocked when rings > 1, and routes under that tie-break,
+// each checked against the Lee oracle. It returns the paths in order.
+func routeLeeField(t *testing.T, region geom.Rect, pitch geom.Coord, core geom.Rect, rings int, seed int64) [][]geom.Point {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	r := mustRouter(t, region, pitch)
+	if rings > 1 {
+		r.Block(core, "core!")
+		r.Hug(core, rings)
+	}
+	for i := 0; i < 10; i++ {
+		x := geom.Coord(rng.Intn(22)) * pitch
+		y := geom.Coord(rng.Intn(22)) * pitch
+		w := geom.Coord(1+rng.Intn(6)) * pitch
+		h := geom.Coord(1+rng.Intn(6)) * pitch
+		r.Block(geom.R(x, y, x+w, y+h), "obs")
+	}
+	var paths [][]geom.Point
+	for pair := 0; pair < 24; pair++ {
+		net := fmt.Sprintf("n%d", pair)
+		fx, fy := rng.Intn(24), rng.Intn(24)
+		tx, ty := rng.Intn(24), rng.Intn(24)
+		from := r.center(fx, fy)
+		to := r.center(tx, ty)
+		if o := r.Owner(from); o != "" {
+			continue // start inside an obstacle or an earlier net
+		}
+		if o := r.Owner(to); o != "" {
+			continue
+		}
+		// Oracle first: Route claims cells on success and would
+		// change the answer.
+		optimal, reachable := leeOracle(r, net, fx, fy, tx, ty)
+		pts, err := r.Route(net, from, to)
+		if !reachable {
+			if err == nil {
+				t.Fatalf("pair %d: oracle says unreachable, Route found %v", pair, pts)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("pair %d: oracle says reachable in %d steps, Route failed: %v", pair, optimal, err)
+		}
+		checkManhattan(t, pts, from, to)
+		for _, p := range pts {
+			if !region.Contains(p) {
+				t.Fatalf("pair %d: point %v out of bounds", pair, p)
+			}
+			if o := r.Owner(p); o != net {
+				t.Fatalf("pair %d: path point %v owned by %q, want %q", pair, p, o, net)
+			}
+		}
+		if got, want := PathLength(pts), geom.Coord(optimal)*pitch; got != want {
+			t.Fatalf("pair %d: path length %d, Lee-optimal is %d", pair, got, want)
+		}
+		paths = append(paths, pts)
+	}
+	return paths
 }
 
 // TestFloodCacheMixedGoals exercises the failed-flood cache the way Pass

@@ -51,6 +51,8 @@ type Router struct {
 
 	base []netID // ownership at the last Checkpoint; empty when none
 
+	hug hugRings // the search's tie-break within one f-level
+
 	sc *scratch // search buffers, allocated on first Route
 
 	stats SearchStats
@@ -74,7 +76,8 @@ func New(region geom.Rect, pitch geom.Coord) (*Router, error) {
 // New would build, that keeps the router's allocations — owner array,
 // search scratch, interned net names — and grows them when the new grid
 // is larger. A Pass 3 ladder worker routes combos of several moat widths
-// on one router this way. It drops the checkpoint.
+// on one router this way. It drops the checkpoint and restores the FIFO
+// tie-break.
 func (r *Router) Reshape(region geom.Rect, pitch geom.Coord) error {
 	if pitch <= 0 {
 		return fmt.Errorf("route: non-positive pitch %d", pitch)
@@ -89,6 +92,7 @@ func (r *Router) Reshape(region geom.Rect, pitch geom.Coord) error {
 		return fmt.Errorf("route: %dx%d grid exceeds %d cells", nx, ny, math.MaxInt32)
 	}
 	r.region, r.pitch, r.nx, r.ny = region, pitch, nx, ny
+	r.hug = hugRings{rings: 1}
 	n := nx * ny
 	r.owner = resize(r.owner, n)
 	r.base = r.base[:0]
@@ -107,6 +111,42 @@ func resize[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// hugRings is the search's tie-break within one f-level: the hug
+// rectangle in cells and the number of rings (at least one; one ring is
+// plain FIFO order).
+type hugRings struct {
+	x0, y0, x1, y1 int32
+	rings          int32
+}
+
+// ring returns the cell's ring: its Chebyshev distance in cells from the
+// hug rectangle, clamped to the last ring.
+func (h hugRings) ring(x, y int32) int32 {
+	if h.rings == 1 {
+		return 0
+	}
+	return min(max(h.x0-x, x-h.x1, h.y0-y, y-h.y1, 0), h.rings-1)
+}
+
+// Hug sets the search's tie-break. Among the cells of one f-level — the
+// ends of equally short partial paths — the search pops first the cell
+// nearest core, by rings of one cell, so a route around core follows the
+// innermost free track instead of an arbitrary shortest path. Cells
+// rings-1 or more cells out share the last ring. rings <= 1 restores the
+// default: plain FIFO order. Either way every path is Lee-optimal; only
+// which of several shortest paths comes back differs. The setting
+// survives Reset and Checkpoint; Reshape drops it.
+func (r *Router) Hug(core geom.Rect, rings int) {
+	rings = min(rings, max(r.nx, r.ny)+1) // no cell is farther out
+	if rings <= 1 {
+		r.hug = hugRings{rings: 1}
+		return
+	}
+	x0, y0 := r.cellOf(geom.Pt(core.MinX, core.MinY))
+	x1, y1 := r.cellOf(geom.Pt(core.MaxX-1, core.MaxY-1))
+	r.hug = hugRings{int32(x0), int32(y0), int32(x1), int32(y1), int32(rings)}
 }
 
 // Checkpoint records the grid's current ownership as the state Reset

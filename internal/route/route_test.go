@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,5 +208,46 @@ func TestPathLength(t *testing.T) {
 	}
 	if PathLength(nil) != 0 || PathLength(pts[:1]) != 0 {
 		t.Error("degenerate paths should measure 0")
+	}
+}
+
+// TestHugTakesInnerStaircase routes across a blocked core's corner, where
+// every monotone staircase is a shortest path. The one-ring FIFO returns
+// the outermost one — along the grid's edge — and the hugging tie-break
+// the innermost one, which closes in on the core and turns its corner one
+// cell out. Both are Lee-optimal; a Reshape restores FIFO.
+func TestHugTakesInnerStaircase(t *testing.T) {
+	const p = geom.Coord(10)
+	region := geom.R(0, 0, 14*p, 14*p)
+	core := geom.R(5*p, 5*p, 9*p, 9*p)
+	pt := func(x, y int) geom.Point { return geom.Pt(geom.Coord(x)*p+p/2, geom.Coord(y)*p+p/2) }
+	outer := []geom.Point{pt(1, 12), pt(12, 12), pt(12, 1)}
+	inner := []geom.Point{pt(1, 12), pt(2, 12), pt(2, 11), pt(3, 11), pt(3, 10), pt(4, 10), pt(4, 9),
+		pt(9, 9), pt(9, 4), pt(10, 4), pt(10, 3), pt(11, 3), pt(11, 2), pt(12, 2), pt(12, 1)}
+	for _, tc := range []struct {
+		name  string
+		rings int
+		want  []geom.Point
+	}{{"fifo", 1, outer}, {"hug", 6, inner}} {
+		r := mustRouter(t, region, p)
+		r.Block(core, "core!")
+		r.Hug(core, tc.rings)
+		got, err := r.Route("n", pt(1, 12), pt(12, 1))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: path %v, want %v", tc.name, got, tc.want)
+		}
+		if n := PathLength(got); n != 22*p {
+			t.Errorf("%s: length %d, want the Lee-optimal %d", tc.name, n, 22*p)
+		}
+		if err := r.Reshape(region, p); err != nil {
+			t.Fatal(err)
+		}
+		r.Block(core, "core!")
+		if got, _ := r.Route("n", pt(1, 12), pt(12, 1)); !slices.Equal(got, outer) {
+			t.Errorf("%s: after Reshape, path %v, want FIFO's %v", tc.name, got, outer)
+		}
 	}
 }

@@ -168,13 +168,21 @@ func (c *call) await(j *job) jobResult {
 }
 
 // build runs the three passes on the call's spec under opts and renders
-// the representations the compile produced, under the call's key.
-func (c *call) build(ctx context.Context, opts *core.Options) jobResult {
+// the representations the compile produced, under the call's key. With a
+// nil cifBuf the result is storable (cache.Render); otherwise its CIF is
+// rendered into *cifBuf and aliases it (cache.RenderTo), for a reply that
+// is written once and never cached.
+func (c *call) build(ctx context.Context, opts *core.Options, cifBuf *[]byte) jobResult {
 	chip, err := core.CompileCtx(ctx, c.spec, opts)
 	if err != nil {
 		return jobResult{err: err}
 	}
-	res, err := cache.Render(chip)
+	var res *cache.Result
+	if cifBuf == nil {
+		res, err = cache.Render(chip)
+	} else {
+		res, err = cache.RenderTo(chip, cifBuf)
+	}
 	if err != nil {
 		return jobResult{err: err}
 	}

@@ -275,7 +275,7 @@ func (s *Server) worker() {
 			// handler's lookup was the counted one and asked the peer, so
 			// this re-check reads the local layers only.
 			out = jobResult{res: res, cached: true}
-		} else if out = c.build(c.ctx, c.opts); out.err == nil {
+		} else if out = c.build(c.ctx, c.opts, nil); out.err == nil {
 			s.cache.Put(c.key, out.res)
 		}
 		s.metrics.inFlight.Add(-1)
@@ -688,7 +688,8 @@ func fillReps(resp *CompileResponse, res *cache.Result, reps map[string]bool) {
 	}
 }
 
-// respBufs holds the buffers writeCompileResponse assembles bodies in.
+// respBufs holds the buffers writeCompileResponse assembles bodies in, and
+// the ones session compiles render their CIF into.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // compileTail is the part of a CompileResponse that follows the

@@ -252,8 +252,13 @@ func (s *Server) sessionCompile(w http.ResponseWriter, c *call, sess *session) {
 		o.SkipExtraReps = true
 		opts = &o
 	}
+	// A session result is never cached, so its CIF stays in a pooled
+	// buffer, from which the reply is written, instead of an exact-length
+	// copy for the cache's byte accounting.
+	cifBuf := respBufs.Get().(*[]byte)
+	defer respBufs.Put(cifBuf)
 	before := sess.store.Counters()
-	out := c.build(incr.WithStore(c.ctx, sess.store), opts)
+	out := c.build(incr.WithStore(c.ctx, sess.store), opts, cifBuf)
 	after := sess.store.Counters()
 	sess.touch(time.Now())
 	s.metrics.sessionCompiles.Add(1)
