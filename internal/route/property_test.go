@@ -65,7 +65,11 @@ func TestRouteMatchesLeeOracle(t *testing.T) {
 	for _, rings := range []int{1, 10} {
 		for seed := int64(1); seed <= 8; seed++ {
 			seed, rings := seed, rings
-			t.Run(fmt.Sprintf("rings%d-seed%d", rings, seed), func(t *testing.T) {
+			name := fmt.Sprintf("seed%d", seed)
+			if rings > 1 {
+				name = "hug-" + name
+			}
+			t.Run(name, func(t *testing.T) {
 				first := routeLeeField(t, region, pitch, core, rings, seed)
 				if again := routeLeeField(t, region, pitch, core, rings, seed); !reflect.DeepEqual(again, first) {
 					t.Fatalf("a second run returned different paths:\n%v\nvs\n%v", again, first)
