@@ -324,11 +324,9 @@ func BenchmarkRoutePassFormerRejections(b *testing.B) {
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 }
 
-// BenchmarkRouteParallel is Pass 3 with a GOMAXPROCS-wide pool: units
-// still route serially, and only a spec whose first (moat, strategy) combo
-// fails races the rest of the ladder. Accepted chips rarely reach the
-// race, so pads-ms should match BenchmarkRouteSerial's; the difference is
-// what the wider pool costs or buys on this machine.
+// BenchmarkRouteParallel is Pass 3 with a GOMAXPROCS-wide pool. Pass 3
+// walks its ladder serially at every width, so pads-ms should match
+// BenchmarkRouteSerial's; only Pass 1 and Pass 2 use the pool.
 func BenchmarkRouteParallel(b *testing.B) { benchRoutePass(b, 0) }
 
 // BenchmarkRouteParallelJ8 pins the pool width to 8 regardless of the

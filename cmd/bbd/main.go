@@ -20,9 +20,8 @@
 //	bbd -trace-export traces.jsonl       # OTLP/JSON span export, one line per compile
 //	bbd -profile-interval 1m             # continuous CPU+heap profile ring
 //	bbd -slo-window 1h -slo-availability 0.999  # error-budget objectives
-//	bbd -peers http://a:8723,http://b:8723 -self http://a:8723   # join a cache-peering farm
-//	bbd -peers ... -self http://c:8723 -coordinator              # front the farm, routing cold compiles
-//	bbd -peer-timeout 150ms              # per-peer fetch/put budget
+//	bbd -peers http://a:8723,http://b:8723 -self http://a:8723   # join a farm
+//	bbd -peer-timeout 150ms              # per-peer cache fetch budget
 //
 // Endpoints:
 //
@@ -42,15 +41,15 @@
 //	GET  /debug/profiles/{id}      one captured pprof profile
 //	GET  /debug/pprof/             net/http/pprof profiler
 //	GET  /cache/{key}              peer shard protocol: fetch a cached result (farm-internal)
-//	PUT  /cache/{key}              peer shard protocol: store a result (farm-internal)
 //
-// With -peers, the daemons listed form a farm: each compile result is
-// stored on the node that owns its cache key under a consistent-hash
-// ring, and a miss consults the owner before compiling. Every node
-// passes the same -peers list (order doesn't matter) and names itself
-// with -self; a dead, slow, or corrupt peer degrades to a local compile,
-// never an error (see docs/FARM.md). -coordinator makes this node route
-// cold compiles to the least-loaded worker instead of compiling locally.
+// With -peers, the daemons listed form a farm in which every node is a
+// front door: each cache key has one owning node on a consistent-hash
+// ring, a miss asks the owner for the result, and a clean miss there
+// forwards the compile to the owner, which compiles it once however many
+// requests for it arrive together and keeps the result. Every node passes
+// the same -peers list (order doesn't matter) and names itself with
+// -self; a dead, slow, or shedding owner degrades to a local compile,
+// never an error (see docs/FARM.md).
 //
 // The compile endpoints accept a W3C traceparent header: the compile's
 // spans join the caller's distributed trace (the trace id echoes back in
@@ -109,7 +108,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent compile cache (empty = memory only)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request compile deadline")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	jobs := flag.Int("j", 1, "fan-out width per compile for Pass 1 elements and Pass 3 routing (0 = GOMAXPROCS; 1 serves throughput, the worker pool is the concurrency)")
+	jobs := flag.Int("j", 1, "fan-out width per compile for Pass 1 elements and Pass 2's minimizer (0 = GOMAXPROCS; 1 serves throughput, the worker pool is the concurrency)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit the log stream as JSON lines instead of logfmt-style text")
 	flightN := flag.Int("flight-n", 0, "flight recorder size: last N compiles kept with span trees (0 = 128)")
@@ -127,8 +126,7 @@ func main() {
 	sloLatencyMS := flag.Duration("slo-latency-threshold", 0, "latency threshold the objective counts against (0 = 500ms)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every farm node including this one (empty = standalone)")
 	self := flag.String("self", "", "this node's base URL as it appears in -peers (required with -peers)")
-	coordinator := flag.Bool("coordinator", false, "route cold compiles to the least-loaded -peers worker instead of compiling locally")
-	peerTimeout := flag.Duration("peer-timeout", 0, "per-peer cache fetch/put and load-poll budget (0 = 150ms)")
+	peerTimeout := flag.Duration("peer-timeout", 0, "budget for one cache fetch from a key's owning peer (0 = 150ms); forwarded compiles are bounded by -timeout")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: bbd [flags]")
@@ -169,7 +167,6 @@ func main() {
 		Cache:              c,
 		Peers:              peerList,
 		SelfURL:            *self,
-		Coordinator:        *coordinator,
 		PeerTimeout:        *peerTimeout,
 		Workers:            *pool,
 		QueueDepth:         *queue,
@@ -209,7 +206,7 @@ func main() {
 		"addr", *addr, "admin_addr", *adminAddr,
 		"pool", srv.Workers(), "cache_mb", *cacheMB, "cache_dir", *cacheDir,
 		"timeout", *timeout, "log_level", *logLevel,
-		"peers", len(peerList), "coordinator", *coordinator)
+		"peers", len(peerList))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -16,9 +16,9 @@
 //
 // A third, optional tier makes the cache horizontal: SetPeers attaches a
 // consistent-hash shard ring over a farm's node list (see PeerTier), and
-// a key that misses both local layers is fetched from its owning peer —
-// one node's cold compile warms the whole farm. Peer failures degrade to
-// a local miss, never an error.
+// a key that misses both local layers is fetched from its owning peer,
+// which compiles and keeps every key it owns — one cold compile warms the
+// whole farm. Peer failures degrade to a local miss, never an error.
 package cache
 
 import (
@@ -138,32 +138,36 @@ func (c *Cache) Peers() *PeerTier { return c.peers }
 // key's owning peer. A disk or peer hit is promoted into the memory
 // layer. The returned Result is shared — callers must not mutate it.
 func (c *Cache) Get(key string) (*Result, bool) {
-	return c.GetCtx(context.Background(), key)
+	res, _, _ := c.GetCtx(context.Background(), key)
+	return res, res != nil
 }
 
-// GetCtx is Get bounded by ctx; only the peer hop observes the context
-// (local layers are synchronous memory and disk reads). A trace.Trace on
-// the context records the lookup as a cache.lookup span, with its hit or
-// miss outcome, under the context's current span; without one, nothing
-// is timed.
-func (c *Cache) GetCtx(ctx context.Context, key string) (res *Result, ok bool) {
+// GetCtx is Get bounded by ctx, reporting a miss as a nil result; only
+// the peer hop observes the context (local layers are synchronous memory
+// and disk reads). In a farm, owner and peerErr are PeerTier.Fetch's: the
+// key's owning peer when another node owns the key, and why that peer
+// could not be asked. A peer failure never fails the lookup. A
+// trace.Trace on the context records the lookup as a cache.lookup span,
+// with its hit or miss outcome, under the context's current span; without
+// one, nothing is timed.
+func (c *Cache) GetCtx(ctx context.Context, key string) (res *Result, owner string, peerErr error) {
 	if tr := trace.FromContext(ctx); tr != nil {
-		defer func(t0 time.Time) { tr.Lookup(trace.SpanFromContext(ctx), time.Since(t0), ok) }(time.Now())
+		defer func(t0 time.Time) { tr.Lookup(trace.SpanFromContext(ctx), time.Since(t0), res != nil) }(time.Now())
 	}
-	if res, ok = c.GetLocal(key); ok {
+	if res, ok := c.GetLocal(key); ok {
 		c.hits.Add(1)
-		return res, true
+		return res, "", nil
 	}
 	if c.peers != nil {
-		if res, ok = c.peers.Fetch(ctx, key); ok {
+		if res, owner, peerErr = c.peers.Fetch(ctx, key); res != nil {
 			c.hits.Add(1)
 			c.peerHits.Add(1)
 			c.store.Put("", key, res, res.cost())
-			return res, true
+			return res, owner, nil
 		}
 	}
 	c.misses.Add(1)
-	return nil, false
+	return nil, owner, peerErr
 }
 
 // GetLocal looks the key up in the local layers only — memory, then disk
@@ -176,20 +180,11 @@ func (c *Cache) GetLocal(key string) (*Result, bool) {
 	return res, ok
 }
 
-// Put stores a result under key in both local layers and — in a farm —
-// pushes it to the key's owning peer so the whole ring warms from one
-// compile. The peer push is bounded and best effort.
+// Put stores a result under key in both local layers. In a farm the
+// result stays on this node, which is normally the key's owner, where
+// peers look for it. After a local fallback it is not: the owner then
+// compiles the key again on its next request for it.
 func (c *Cache) Put(key string, res *Result) {
-	c.PutLocal(key, res)
-	if c.peers != nil {
-		c.peers.Store(context.Background(), key, res)
-	}
-}
-
-// PutLocal stores a result in the local layers only — the write the
-// peer-protocol serving side applies when another node pushes a shard
-// entry here (pushing it onward would bounce it around the ring).
-func (c *Cache) PutLocal(key string, res *Result) {
 	buf := framePool.Get().(*[]byte)
 	c.store.PutDurable("", key, res, res.cost(), func(any) ([]byte, error) {
 		p, err := appendFrame((*buf)[:0], res)
@@ -229,15 +224,15 @@ func (c *Cache) HitRatio() float64 {
 // context records the lookup (see GetCtx) ahead of any compile spans.
 func (c *Cache) Compile(ctx context.Context, spec *core.Spec, opts *core.Options) (*Result, bool, error) {
 	key := Key(spec, opts)
-	res, ok := c.GetCtx(ctx, key)
-	if ok {
+	if res, _, _ := c.GetCtx(ctx, key); res != nil {
 		return res, true, nil
 	}
 	chip, err := core.CompileCtx(ctx, spec, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	if res, err = Render(chip); err != nil {
+	res, err := Render(chip)
+	if err != nil {
 		return nil, false, err
 	}
 	res.Key = key

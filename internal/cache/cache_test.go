@@ -152,8 +152,8 @@ func TestCompileErrorNotCached(t *testing.T) {
 }
 
 // TestLocalCallsCountNothing pins the counting rule bbd_cache_hit_ratio
-// rests on: the shard server's GetLocal/PutLocal and the worker's local
-// re-check leave Hits, Misses and HitRatio alone, so a request that hops
+// rests on: the shard server's GetLocal, the worker's local re-check and
+// Put leave Hits, Misses and HitRatio alone, so a request that hops
 // through them is counted once, by its GetCtx.
 func TestLocalCallsCountNothing(t *testing.T) {
 	c, err := New(0, "")
@@ -161,10 +161,10 @@ func TestLocalCallsCountNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, ok := c.GetCtx(ctx, "a"); ok {
+	if res, _, _ := c.GetCtx(ctx, "a"); res != nil {
 		t.Fatal("empty cache hit")
 	}
-	c.PutLocal("a", &Result{Key: "a"})
+	c.Put("a", &Result{Key: "a"})
 	for i := 0; i < 3; i++ {
 		if _, ok := c.GetLocal("a"); !ok {
 			t.Fatal("local put missed")
@@ -176,7 +176,7 @@ func TestLocalCallsCountNothing(t *testing.T) {
 	if cs := c.Counters(); cs.Hits != 0 || cs.Misses != 1 || c.HitRatio() != 0 {
 		t.Fatalf("local calls counted: %+v, hit ratio %v", cs, c.HitRatio())
 	}
-	if _, ok := c.GetCtx(ctx, "a"); !ok {
+	if res, _, _ := c.GetCtx(ctx, "a"); res == nil {
 		t.Fatal("GetCtx missed a stored key")
 	}
 	if cs := c.Counters(); cs.Hits != 1 || cs.Misses != 1 || c.HitRatio() != 0.5 {

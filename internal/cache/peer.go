@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,21 +14,20 @@ import (
 )
 
 // The peer tier makes the content-addressed cache horizontal: every key
-// has exactly one owning node on the consistent-hash ring, a node that
-// misses locally asks the owner over HTTP before compiling, and a node
-// that compiles cold pushes the result to the owner so the whole farm
-// warms from one compile. The protocol is two verbs on the owner:
+// has exactly one owning node on the consistent-hash ring, and a node
+// that misses locally asks the owner over HTTP before compiling. The
+// owner compiles every cold key it is sent (see internal/server), so it
+// holds every result the farm compiled and one verb serves the protocol:
 //
 //	GET /cache/{key}  -> 200 + the cache.Result JSON, or 404
-//	PUT /cache/{key}  <- the cache.Result JSON, answered 204
 //
 // Failure is always degradation, never an error: a dead, slow, or
-// partitioned peer means the local node compiles (or keeps its result to
-// itself) and a counter increments. Every peer call carries a bounded
-// timeout so a sick peer costs at most PeerTimeout, not a hung request.
+// partitioned peer means the local node compiles and a counter
+// increments. Every fetch carries a bounded timeout so a sick peer costs
+// at most PeerTimeout, not a hung request.
 
-// DefaultPeerTimeout bounds one peer fetch or put when the caller passes
-// no budget. Peers are LAN neighbors serving memory reads; anything
+// DefaultPeerTimeout bounds one peer fetch when the caller passes no
+// budget. Peers are LAN neighbors serving memory reads; anything
 // slower than this is cheaper to recompile than to wait for.
 const DefaultPeerTimeout = 150 * time.Millisecond
 
@@ -44,9 +42,6 @@ type PeerCounters struct {
 	// double-counted as an error).
 	Fetches, Hits, Misses int64
 	Errors, Timeouts      int64
-	// Puts counts results pushed to their owning node; PutErrors the
-	// pushes that failed (timeouts included).
-	Puts, PutErrors int64
 	// Nodes is the ring size, self included.
 	Nodes int
 }
@@ -61,7 +56,6 @@ type PeerTier struct {
 
 	fetches, hits, misses atomic.Int64
 	errs, timeouts        atomic.Int64
-	puts, putErrs         atomic.Int64
 }
 
 // NewPeerTier builds the tier from the farm's full peer list (self
@@ -96,23 +90,15 @@ func NewPeerTier(peers []string, self string, timeout time.Duration) (*PeerTier,
 	}, nil
 }
 
-// Owner reports the node owning key on the ring.
-func (p *PeerTier) Owner(key string) string { return p.ring.Owner(key) }
-
-// Self reports this node's own ring name.
-func (p *PeerTier) Self() string { return p.self }
-
-// Nodes reports the ring's member names, sorted, self included.
-func (p *PeerTier) Nodes() []string { return p.ring.Nodes() }
-
-// Fetch asks the key's owning peer for a result. It returns (nil, false)
+// Fetch asks the key's owning peer for a result. owner is that peer, ""
 // when this node owns the key itself (the local layers were already
-// consulted), on a clean peer miss, and on any peer failure — the caller
-// compiles locally in every case.
-func (p *PeerTier) Fetch(ctx context.Context, key string) (*Result, bool) {
-	owner := p.ring.Owner(key)
+// consulted). A clean miss returns no result and no error: the owner is
+// the node to compile the key. err reports a failed fetch — dead, slow or
+// corrupt peer — after which the caller compiles locally.
+func (p *PeerTier) Fetch(ctx context.Context, key string) (res *Result, owner string, err error) {
+	owner = p.ring.Owner(key)
 	if owner == "" || owner == p.self {
-		return nil, false
+		return nil, "", nil
 	}
 	p.fetches.Add(1)
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
@@ -120,96 +106,60 @@ func (p *PeerTier) Fetch(ctx context.Context, key string) (*Result, bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/cache/"+key, nil)
 	if err != nil {
 		p.errs.Add(1)
-		return nil, false
+		return nil, owner, err
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		p.countFailure(err)
-		return nil, false
+		return nil, owner, p.countFailure(err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
 		p.misses.Add(1)
-		return nil, false
+		return nil, owner, nil
 	default:
 		p.errs.Add(1)
-		return nil, false
+		return nil, owner, fmt.Errorf("peer %s answered %s", owner, resp.Status)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResultBytes))
 	if err != nil {
-		p.countFailure(err)
-		return nil, false
+		return nil, owner, p.countFailure(err)
 	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil || res.Key != key {
+	res = new(Result)
+	if err := json.Unmarshal(data, res); err != nil || res.Key != key {
 		// A peer serving bytes that don't parse — or a result under the
 		// wrong key — is corruption, and corruption degrades like death.
 		p.errs.Add(1)
-		return nil, false
+		return nil, owner, fmt.Errorf("peer %s served a corrupt result", owner)
 	}
 	p.hits.Add(1)
-	return &res, true
+	return res, owner, nil
 }
 
-// Store pushes a result to its owning peer, best effort: a failure
-// increments a counter and the result stays local-only. No-op when this
-// node owns the key (Put already stored it locally).
-func (p *PeerTier) Store(ctx context.Context, key string, res *Result) {
-	owner := p.ring.Owner(key)
-	if owner == "" || owner == p.self {
-		return
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		p.putErrs.Add(1)
-		return
-	}
-	p.puts.Add(1)
-	ctx, cancel := context.WithTimeout(ctx, p.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+"/cache/"+key, bytes.NewReader(data))
-	if err != nil {
-		p.putErrs.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.putErrs.Add(1)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		p.putErrs.Add(1)
-	}
-}
-
-// countFailure classifies one failed fetch: deadline-shaped failures land
-// in Timeouts, everything else (refused, reset, DNS, bad bytes) in Errors.
-func (p *PeerTier) countFailure(err error) {
+// countFailure classifies one failed fetch and returns its error:
+// deadline-shaped failures land in Timeouts, everything else (refused,
+// reset, DNS, bad bytes) in Errors.
+func (p *PeerTier) countFailure(err error) error {
 	var ne net.Error
 	if errors.Is(err, context.DeadlineExceeded) ||
 		(errors.As(err, &ne) && ne.Timeout()) ||
 		strings.Contains(err.Error(), "Client.Timeout") {
 		p.timeouts.Add(1)
-		return
+		return err
 	}
 	p.errs.Add(1)
+	return err
 }
 
 // Counters snapshots the tier's activity.
 func (p *PeerTier) Counters() PeerCounters {
 	return PeerCounters{
-		Fetches:   p.fetches.Load(),
-		Hits:      p.hits.Load(),
-		Misses:    p.misses.Load(),
-		Errors:    p.errs.Load(),
-		Timeouts:  p.timeouts.Load(),
-		Puts:      p.puts.Load(),
-		PutErrors: p.putErrs.Load(),
-		Nodes:     len(p.ring.Nodes()),
+		Fetches:  p.fetches.Load(),
+		Hits:     p.hits.Load(),
+		Misses:   p.misses.Load(),
+		Errors:   p.errs.Load(),
+		Timeouts: p.timeouts.Load(),
+		Nodes:    len(p.ring.Nodes()),
 	}
 }

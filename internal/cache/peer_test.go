@@ -13,11 +13,11 @@ import (
 	"time"
 )
 
-// The peer tier against httptest stand-ins for the owning node: the happy
-// fetch/store round trip, the miss, and each failure class — dead peer,
-// slow peer, corrupt peer — every one of which must degrade to (nil,
-// false) with the right counter bumped, because the caller's fallback is
-// always the same: compile locally.
+// The peer tier against httptest stand-ins for the owning node: the hit,
+// the clean miss, and each failure class — dead peer, slow peer, corrupt
+// peer — every one of which must degrade to a miss with an error and the
+// right counter bumped, because the caller's fallback is always the same:
+// compile locally.
 
 // tierSelf is the non-owning node's name in every two-node test ring.
 const tierSelf = "http://self.invalid:1"
@@ -40,7 +40,7 @@ func keyOwnedBy(t *testing.T, ring *Ring, want string) string {
 }
 
 // twoNodeTier builds a tier whose ring is {owner, tierSelf} plus a key
-// the owner owns — so Fetch/Store actually cross the wire.
+// the owner owns — so Fetch actually crosses the wire.
 func twoNodeTier(t *testing.T, owner string, timeout time.Duration) (*PeerTier, string) {
 	t.Helper()
 	key := keyOwnedBy(t, NewRing([]string{owner, tierSelf}), owner)
@@ -58,40 +58,34 @@ func testResult(key string) *Result {
 func TestPeerFetchHitAndMiss(t *testing.T) {
 	var stored sync.Map // shard path -> *Result
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			v, ok := stored.Load(r.URL.Path)
-			if !ok {
-				http.NotFound(w, r)
-				return
-			}
-			json.NewEncoder(w).Encode(v)
-		case http.MethodPut:
-			var res Result
-			if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-				t.Errorf("peer received bad PUT: %v", err)
-			}
-			stored.Store(r.URL.Path, &res)
-			w.WriteHeader(http.StatusNoContent)
+		v, ok := stored.Load(r.URL.Path)
+		if !ok {
+			http.NotFound(w, r)
+			return
 		}
+		json.NewEncoder(w).Encode(v)
 	}))
 	defer ts.Close()
 
 	pt, key := twoNodeTier(t, ts.URL, 0)
-	if res, ok := pt.Fetch(context.Background(), key); ok {
-		t.Fatalf("fetch before store hit: %+v", res)
+	res, owner, err := pt.Fetch(context.Background(), key)
+	if res != nil || err != nil {
+		t.Fatalf("fetch before store: %+v, %v; want a clean miss", res, err)
 	}
-	pt.Store(context.Background(), key, testResult(key))
-	res, ok := pt.Fetch(context.Background(), key)
-	if !ok {
-		t.Fatal("fetch after store missed (did the tier PUT to the wrong path?)")
+	if owner != ts.URL {
+		t.Errorf("clean miss names owner %q, want %q", owner, ts.URL)
+	}
+	stored.Store("/cache/"+key, testResult(key))
+	res, _, err = pt.Fetch(context.Background(), key)
+	if res == nil || err != nil {
+		t.Fatalf("fetch after store: %v (did the tier GET the wrong path?)", err)
 	}
 	if res.Chip != "peered" || string(res.CIF) != "CIF;\n" || res.Sticks != "||" {
 		t.Errorf("fetched result mangled: %+v", res)
 	}
 	c := pt.Counters()
-	if c.Fetches != 2 || c.Hits != 1 || c.Misses != 1 || c.Puts != 1 || c.Errors != 0 || c.Timeouts != 0 || c.PutErrors != 0 {
-		t.Errorf("counters after hit+miss+put: %+v", c)
+	if c.Fetches != 2 || c.Hits != 1 || c.Misses != 1 || c.Errors != 0 || c.Timeouts != 0 {
+		t.Errorf("counters after miss+hit: %+v", c)
 	}
 	if c.Nodes != 2 {
 		t.Errorf("ring size %d, want 2", c.Nodes)
@@ -112,14 +106,13 @@ func TestPeerSelfOwnedKeyStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pt.Fetch(context.Background(), key); ok {
-		t.Error("self-owned fetch claims a hit")
+	if res, owner, err := pt.Fetch(context.Background(), key); res != nil || owner != "" || err != nil {
+		t.Errorf("self-owned fetch answered %+v, owner %q, %v; want a miss naming no owner", res, owner, err)
 	}
-	pt.Store(context.Background(), key, testResult(key))
 	if called.Load() {
 		t.Error("self-owned key generated peer traffic")
 	}
-	if c := pt.Counters(); c.Fetches != 0 || c.Puts != 0 {
+	if c := pt.Counters(); c.Fetches != 0 {
 		t.Errorf("self-owned traffic counted: %+v", c)
 	}
 }
@@ -128,16 +121,11 @@ func TestPeerDeadPeerDegrades(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close() // dead before first use: connection refused
 	pt, key := twoNodeTier(t, ts.URL, 0)
-	if _, ok := pt.Fetch(context.Background(), key); ok {
-		t.Fatal("fetch from a dead peer claims a hit")
+	if res, _, err := pt.Fetch(context.Background(), key); res != nil || err == nil {
+		t.Fatalf("fetch from a dead peer answered %+v, %v; want a failed miss", res, err)
 	}
-	pt.Store(context.Background(), key, testResult(key))
-	c := pt.Counters()
-	if c.Errors < 1 {
+	if c := pt.Counters(); c.Errors < 1 {
 		t.Errorf("dead-peer fetch not counted as error: %+v", c)
-	}
-	if c.PutErrors < 1 {
-		t.Errorf("dead-peer put not counted: %+v", c)
 	}
 }
 
@@ -151,8 +139,8 @@ func TestPeerSlowPeerTimesOut(t *testing.T) {
 	defer ts.Close()
 	pt, key := twoNodeTier(t, ts.URL, 30*time.Millisecond)
 	start := time.Now()
-	if _, ok := pt.Fetch(context.Background(), key); ok {
-		t.Fatal("fetch from a stalled peer claims a hit")
+	if res, _, err := pt.Fetch(context.Background(), key); res != nil || err == nil {
+		t.Fatalf("fetch from a stalled peer answered %+v, %v; want a failed miss", res, err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("fetch waited %v for a stalled peer; budget was 30ms", elapsed)
@@ -180,8 +168,8 @@ func TestPeerCorruptionDegrades(t *testing.T) {
 	pt, key := twoNodeTier(t, ts.URL, 0)
 	for _, m := range []string{"garbage", "wrongkey"} {
 		mode.Store(m)
-		if res, ok := pt.Fetch(context.Background(), key); ok {
-			t.Fatalf("%s fetch claims a hit: %+v", m, res)
+		if res, _, err := pt.Fetch(context.Background(), key); res != nil || err == nil {
+			t.Fatalf("%s fetch answered %+v, %v; want a failed miss", m, res, err)
 		}
 	}
 	if c := pt.Counters(); c.Errors != 2 || c.Hits != 0 {

@@ -50,12 +50,10 @@ type Options struct {
 	// -watch, the T2 timing ablation). Stats is the same either way.
 	SkipExtraReps bool
 	// Parallelism bounds the worker pools of Pass 1's element fan-out and
-	// Pass 3's rip-up ladder race: 0 (the default) selects GOMAXPROCS, 1
-	// runs the serial paths. The compiled chip is byte-identical at every
-	// setting — Pass 1's fan-in reassembles in column order, and the
-	// ladder race returns the lowest-index (moat, strategy) combo that
-	// routes — so this knob is deliberately excluded from the compile
-	// cache key.
+	// Pass 2's minimizer: 0 (the default) selects GOMAXPROCS, 1 runs the
+	// serial paths. The compiled chip is byte-identical at every setting —
+	// each fan-in reassembles in index order — so this knob is deliberately
+	// excluded from the compile cache key.
 	Parallelism int
 }
 
@@ -851,7 +849,6 @@ func (c *Chip) padPass(ctx context.Context) error {
 			SkipRotoRouter: c.Options.SkipRotoRouter,
 			EvenSpacing:    evenPads,
 			Obstacles:      []geom.Rect{bounds},
-			Parallelism:    c.Options.Parallelism,
 		})
 		if err != nil {
 			return err

@@ -98,9 +98,8 @@ func TestHarnessDifferential(t *testing.T) {
 }
 
 // TestHarnessPadsDifferential is the Pass 3 leg: pads-enabled compiles of
-// ForPads specs must be byte-identical across pool sizes — the rip-up
-// ladder's moat×strategy race has to be invisible in the mask set and
-// the statistics — and each chip's metal, the layer Pass 3 routes on,
+// ForPads specs must be byte-identical across pool sizes, in the mask
+// set and the statistics — and each chip's metal, the layer Pass 3 routes on,
 // must pass DRC. (The other layers wait for the decoder's poly spacing
 // fixes.)
 func TestHarnessPadsDifferential(t *testing.T) {
@@ -260,26 +259,25 @@ func TestHarnessDaemon(t *testing.T) {
 	t.Logf("daemon: %d specs compared over HTTP (first seed %d)", n, *flagSeed)
 }
 
-// TestHarnessFarmDifferential is the horizontal-scaling leg: a 3-worker
-// farm behind a coordinator, compiling a batch of generated specs over
-// the streaming endpoint, must be byte-identical — CIF, sticks, every
-// text representation, and the statistics — to a single-node daemon AND
-// to a direct in-process compile, at every pool size. Three more arms
-// ride the same farm: a warm-hit arm re-requesting specs from a
-// non-coordinator worker (the answer arrives through the peer cache
-// tier and must still match), a verdict arm grading the example
-// scenario suite on a farm node vs the single node, and the coordinator
-// metrics sanity check. CI runs it wide (-invariant.farmn=200
-// -invariant.jobs=1,4,8); a failure names the generator seed.
+// TestHarnessFarmDifferential is the horizontal-scaling leg: a 3-node
+// farm, compiling a batch of generated specs over the streaming endpoint
+// of one node that forwards each cold key to its ring owner, must be
+// byte-identical — CIF, sticks, every text representation, and the
+// statistics — to a single-node daemon AND to a direct in-process
+// compile, at every pool size. Two more arms ride the same farm: a
+// warm-hit arm re-requesting specs from another node (the answer arrives
+// through the peer cache tier and must still match), and a verdict arm
+// grading the example scenario suite on a farm node vs the single node.
+// CI runs it wide (-invariant.farmn=200 -invariant.jobs=1,4,8); a
+// failure names the generator seed.
 func TestHarnessFarmDifferential(t *testing.T) {
 	n := *flagFarmN
 	for _, j := range harnessJobs(t) {
 		j := j
 		t.Run(fmt.Sprintf("jobs=%d", j), func(t *testing.T) {
 			farm, err := farmtest.New(farmtest.Config{
-				Workers:     3,
-				Coordinator: true,
-				Node:        server.Config{Workers: 2, QueueDepth: 64, Parallelism: j},
+				Workers: 3,
+				Node:    server.Config{Workers: 2, QueueDepth: 64, Parallelism: j},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -310,13 +308,13 @@ func TestHarnessFarmDifferential(t *testing.T) {
 				chips[i], wants[i] = chip, want
 			}
 
-			// Arm 1: the whole corpus as one streaming batch through the
-			// coordinator — cold compiles routed across the workers.
+			// Arm 1: the whole corpus as one streaming batch through one
+			// node — each cold compile runs on its key's owner.
 			body, err := json.Marshal(server.BatchRequest{Specs: texts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := http.Post(farm.Coordinator().URL+"/compile/batch?nopads=1&reps=all",
+			resp, err := http.Post(farm.Workers()[2].URL+"/compile/batch?nopads=1&reps=all",
 				"application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -392,9 +390,9 @@ func TestHarnessFarmDifferential(t *testing.T) {
 				}
 			}
 
-			// Arm 3: warm hits through the peer tier. The batch populated the
-			// shard owners; a worker that didn't compile a spec must answer
-			// from the shared tier — cached, and still byte-identical.
+			// Arm 3: warm hits through the peer tier. The batch left each
+			// result on its key's owner; any other node must answer from the
+			// shared tier — cached, and still byte-identical.
 			warm := farm.Workers()[0]
 			for i := 0; i < n; i += 3 {
 				seed := *flagSeed + int64(i)
@@ -451,7 +449,7 @@ func TestHarnessFarmDifferential(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("farm differential: %d specs batched through a 3-worker farm at jobs=%v (first seed %d)",
+	t.Logf("farm differential: %d specs batched through a 3-node farm at jobs=%v (first seed %d)",
 		n, harnessJobs(t), *flagSeed)
 }
 

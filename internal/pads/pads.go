@@ -17,14 +17,11 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"bristleblocks/internal/celllib"
 	"bristleblocks/internal/geom"
 	"bristleblocks/internal/layer"
 	"bristleblocks/internal/mask"
-	"bristleblocks/internal/pool"
 	"bristleblocks/internal/route"
 )
 
@@ -74,15 +71,15 @@ type Ring struct {
 	// PadCount is the number of pads placed.
 	PadCount int
 	// RouteStats aggregates the routing work across every rip-up attempt
-	// of the build (deterministic for a given input at every Parallelism).
+	// of the build (deterministic for a given input).
 	RouteStats RouteStats
 }
 
 // RouteStats counts Pass 3's routing work. Every counter is a pure
-// function of the input, the same at every Options.Parallelism, so the
-// determinism tests may compare them across pool sizes. The counters
-// report the serial ladder's work, rip-up attempts replayed from the memo
-// included, not the cells the CPU actually expanded.
+// function of the input, so the determinism tests may compare them across
+// pool sizes. The counters report the ladder's work, rip-up attempts
+// replayed from the memo included, not the cells the CPU actually
+// expanded.
 type RouteStats struct {
 	// Nets is the number of routing units routed (one unit = one pad's net
 	// with all its branch targets), including units of failed rip-up
@@ -128,10 +125,6 @@ type Options struct {
 	// blocks of different widths), while the ring is still sized around
 	// the bounds passed to Build. Requests should carry Outward hints.
 	Obstacles []geom.Rect
-	// Parallelism bounds the pool that races the rip-up ladder's (moat,
-	// strategy) combos once the first combo fails (<=0 = GOMAXPROCS).
-	// Output is byte-identical at every value.
-	Parallelism int
 }
 
 // placed pairs a request with its assigned slot.
@@ -173,114 +166,27 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 		moat = geom.L(140)
 	}
 
-	// The (moat, strategy) grid in priority order: every strategy at each
-	// moat, the moat widening by half when a whole row congests.
-	type combo struct {
-		moat     geom.Coord
-		strategy strategy
-	}
-	var combos []combo
+	// Walk the (moat, strategy) ladder in priority order: every strategy
+	// at each moat, the moat widening by half when a whole row congests.
+	// The first combo that routes wins; RouteStats cover every combo tried
+	// up to it. One router serves every combo and rip-up attempt.
+	bufs := &routeBufs{}
+	var rs RouteStats
+	var err error
 	for attempt, m := 0, moat; attempt < 6; attempt, m = attempt+1, m+m/2 {
 		for _, st := range strategies {
-			combos = append(combos, combo{m, st})
-		}
-	}
-
-	// Combos are independent (each builds its own ring from scratch), so
-	// they race on a bounded pool. The result is the lowest-index combo
-	// that succeeds — exactly what trying them one by one would return —
-	// and the accumulated RouteStats cover exactly the combos a serial loop
-	// would have run (index ≤ winner); combos past the winner are cancelled
-	// and their stats discarded. Dispatch order, the winner rule and the
-	// stats merge are all index-driven, so output and stats are identical
-	// at every Parallelism (at one worker the loop below IS the serial
-	// loop: it stops dispatching past the first success).
-	type comboOut struct {
-		ring *Ring
-		err  error
-		rs   RouteStats
-	}
-	n := len(combos)
-	outs := make([]*comboOut, n)
-	runCombo := func(ctx context.Context, j int, bufs *routeBufs) *comboOut {
-		out := &comboOut{}
-		out.ring, out.err = buildAttemptStrategy(ctx, coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs, bufs)
-		outs[j] = out
-		return out
-	}
-	// Combo 0 runs first, alone, on the caller's context: in the common
-	// case it succeeds and the other combos never start. Only a combo-0
-	// routing failure fans the rest of the grid out to race — a failure
-	// means the ladder is hard, and overlapping the surviving combos is
-	// where racing actually pays. Each ladder worker owns one routeBufs for
-	// every combo it runs; the first worker inherits combo 0's.
-	first := &routeBufs{}
-	if runCombo(ctx, 0, first).err != nil && n > 1 && ctx.Err() == nil {
-		jctx := make([]context.Context, n)
-		jcancel := make([]context.CancelFunc, n)
-		for j := 1; j < n; j++ {
-			jctx[j], jcancel[j] = context.WithCancel(ctx)
-		}
-		var (
-			next   = int32(1) // combo 0 already ran
-			winner = int32(n)
-			wg     sync.WaitGroup
-		)
-		workers := pool.Size(opts.Parallelism, n-1)
-		for w := 0; w < workers; w++ {
-			bufs := first
-			if w > 0 {
-				bufs = &routeBufs{}
+			var ring *Ring
+			ring, err = buildAttemptStrategy(ctx, coreBounds, reqs, opts, m, st, &rs, bufs)
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(atomic.AddInt32(&next, 1)) - 1
-					if j >= n || int32(j) > atomic.LoadInt32(&winner) {
-						return
-					}
-					out := runCombo(jctx[j], j, bufs)
-					if out.err == nil {
-						for {
-							cur := atomic.LoadInt32(&winner)
-							if int32(j) >= cur || atomic.CompareAndSwapInt32(&winner, cur, int32(j)) {
-								break
-							}
-						}
-						// Combos past the best success so far can no longer
-						// win; stop them mid-flight.
-						for k := int(atomic.LoadInt32(&winner)) + 1; k < n; k++ {
-							jcancel[k]()
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for _, c := range jcancel[1:] {
-			c()
+			if err == nil {
+				ring.RouteStats = rs
+				return ring, nil
+			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var rs RouteStats
-	for j := 0; j < n; j++ {
-		out := outs[j]
-		if out == nil {
-			break
-		}
-		rs.merge(out.rs)
-		if out.err == nil {
-			out.ring.RouteStats = rs
-			return out.ring, nil
-		}
-	}
-	if last := outs[n-1]; last != nil {
-		return nil, last.err
-	}
-	return nil, fmt.Errorf("pads: no routing attempt ran")
+	return nil, err
 }
 
 func buildAttempt(coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord) (*Ring, error) {
@@ -317,15 +223,14 @@ var strategies = [...]strategy{
 // centered in the neighboring cell.
 const routePitch = 14 * geom.Lambda
 
-// routeBufs is one ladder worker's routing grid. The worker reuses it for
-// every combo and rip-up attempt it runs, and it grows to the largest grid
-// the worker meets. A routeBufs belongs to exactly one goroutine at a
-// time, so nothing guards it.
+// routeBufs is one build's routing grid. The build reuses it for every
+// combo and rip-up attempt it runs, and it grows to the largest grid the
+// build meets. A routeBufs belongs to one build, so nothing guards it.
 type routeBufs struct {
 	router *route.Router
 }
 
-// grid returns the worker's router re-gridded over region at the routing
+// grid returns the build's router re-gridded over region at the routing
 // pitch, allocating it on first use.
 func (b *routeBufs) grid(region geom.Rect) (*route.Router, error) {
 	if b.router == nil {

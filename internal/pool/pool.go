@@ -1,8 +1,9 @@
 // Package pool is the bounded worker pool shared by the compile passes.
-// Pass 1's element and stretch fan-outs pull ascending indices from a pool
-// of at most Options.Parallelism goroutines (RunIndexed), and Pass 3's
-// rip-up ladder race sizes its pool with Size; the sizing lives here so
-// both passes share it without an import cycle (pads cannot import core).
+// Pass 1's element and stretch fan-outs and Pass 2's per-output minimizer
+// pull ascending indices from a pool of at most Options.Parallelism
+// goroutines (RunIndexed), and Size resolves that knob; both live here so
+// the passes share them without an import cycle (decoder cannot import
+// core). Pass 3 walks its rip-up ladder serially.
 package pool
 
 import (

@@ -12,8 +12,8 @@ import (
 // that spec's compile lands — a client watching the stream sees results
 // in completion order, not submission order, and reassembles by the index
 // field. Each spec rides the same machinery a lone /compile does: the
-// shared cache tier first, the coordinator's routing (when this node is
-// one), and finally the local queue — where a momentarily full queue
+// shared cache tier first, then the key's owner when another node owns
+// it, and finally the local queue — where a momentarily full queue
 // means the item politely retries rather than being dropped, because a
 // batch promises exactly one line per spec. Only admission-time draining
 // fails the batch as a whole (503 before any line is written).
@@ -121,10 +121,10 @@ func (s *Server) streamBatch(w http.ResponseWriter, c *call) {
 	c.log.Info("batch complete", "specs", len(req.Specs), "dur", time.Since(c.start))
 }
 
-// batchItem compiles one batch entry as its own call: cache tier,
-// coordinator routing, then the local pool — with a patient re-submit loop
-// when the queue is briefly full, because a batch line must never be lost
-// to transient backpressure. Each spec's trace is a child of the batch's
+// batchItem compiles one batch entry as its own call: cache tier, the
+// key's owner, then the local pool — with a patient re-submit loop when
+// the queue is briefly full, because a batch line must never be lost to
+// transient backpressure. Each spec's trace is a child of the batch's
 // inbound trace context (or of a fresh root when the client sent none), so
 // every farm hop a spec takes hangs off its own span in the exported trace
 // rather than all specs sharing one.
@@ -146,53 +146,33 @@ func (s *Server) batchItem(batch *call, index int, specText string) BatchItem {
 	defer c.begin()()
 	res, cached := c.lookup()
 	if !cached {
-		// Coordinator hop: the worker's reply is a complete CompileResponse
-		// (already rep-filtered by the forwarded query), errors included.
-		if s.coord != nil {
-			if status, data, ok := s.coord.compileRemote(c.ctx, c.r.URL.RawQuery, []byte(specText), c.link, c.log); ok {
-				s.metrics.batchRemote.Add(1)
-				if status == http.StatusOK {
-					var cr CompileResponse
-					err := json.Unmarshal(data, &cr)
-					if err == nil {
-						item.Result = &cr
-						return item
-					}
-					c.log.Warn("worker reply unparsable, compiling locally", "err", err)
-				} else {
-					var e struct {
-						Error string `json:"error"`
-					}
-					if json.Unmarshal(data, &e) == nil && e.Error != "" {
-						item.Error = e.Error
-					} else {
-						item.Error = fmt.Sprintf("worker answered %d", status)
-					}
-					return item
+		// The owner's reply is a complete CompileResponse (already
+		// rep-filtered by the forwarded query), errors included.
+		if status, data, ok := c.forward([]byte(specText)); ok {
+			if status != http.StatusOK {
+				var e struct {
+					Error string `json:"error"`
 				}
+				if json.Unmarshal(data, &e) == nil && e.Error != "" {
+					item.Error = e.Error
+				} else {
+					item.Error = fmt.Sprintf("owner answered %d", status)
+				}
+				return item
 			}
-		}
-
-		// Local compile, with a patient re-submit loop: errQueueFull is
-		// backpressure, not a verdict on this spec.
-		j := &job{c: c, done: make(chan jobResult, 1)}
-		for {
-			err := s.submit(j)
+			var cr CompileResponse
+			err := json.Unmarshal(data, &cr)
 			if err == nil {
-				break
-			}
-			if err == errDraining {
-				item.Error = err.Error()
+				item.Result = &cr
 				return item
 			}
-			select {
-			case <-c.ctx.Done():
-				item.Error = fmt.Sprintf("compile exceeded %v waiting for a worker", s.cfg.Timeout)
-				return item
-			case <-time.After(batchRetryDelay):
-			}
+			c.log.Warn("owner reply unparsable, compiling locally", "err", err)
 		}
-		out := c.await(j)
+		out, ok := c.once(c.queuePatiently)
+		if !ok {
+			item.Error = out.err.Error()
+			return item
+		}
 		if c.settle(out, ""); out.err != nil {
 			item.Error = out.err.Error()
 			return item
@@ -205,4 +185,26 @@ func (s *Server) batchItem(batch *call, index int, specText string) BatchItem {
 	fillReps(&resp, res, c.reps)
 	item.Result = &resp
 	return item
+}
+
+// queuePatiently is queue for a batch item: errQueueFull is
+// backpressure, not a verdict on the spec, so the item re-submits until a
+// slot frees or its deadline passes. ok is false when the item was never
+// queued, with out.err saying why.
+func (c *call) queuePatiently() (jobResult, bool) {
+	j := &job{c: c, done: make(chan jobResult, 1)}
+	for {
+		err := c.s.submit(j)
+		if err == nil {
+			return c.await(j), true
+		}
+		if err == errDraining {
+			return jobResult{err: err}, false
+		}
+		select {
+		case <-c.ctx.Done():
+			return jobResult{err: fmt.Errorf("compile exceeded %v waiting for a worker", c.s.cfg.Timeout)}, false
+		case <-time.After(batchRetryDelay):
+		}
+	}
 }

@@ -91,7 +91,7 @@ func TestErrorPathQueueFullCounter(t *testing.T) {
 	inFlight := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			spec := specText(5) + fmt.Sprintf("\n# occupant %d\n", i)
+			spec := variantSpec(5, i)
 			resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
 			if err != nil {
 				inFlight <- 0
@@ -105,7 +105,7 @@ func TestErrorPathQueueFullCounter(t *testing.T) {
 
 	const shed = 3
 	for i := 0; i < shed; i++ {
-		spec := specText(2) + fmt.Sprintf("\n# overflow %d\n", i)
+		spec := variantSpec(2, i)
 		resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)

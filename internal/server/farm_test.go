@@ -1,11 +1,12 @@
 package server_test
 
 // The farm fault-injection battery: a multi-node bbd farm (farmtest) with
-// failures injected at the transport — killed workers, partitioned cache
-// peers, slow peers — while the battery asserts the farm's one promise:
-// degradation, never loss. A dead worker costs a re-route, a dead peer
-// costs a local compile, a slow peer costs its timeout; none of them cost
-// a wrong answer, a missing batch line, or a 5xx.
+// failures injected at the transport — killed nodes, partitioned owners,
+// slow owners — while the battery asserts the farm's one promise:
+// degradation, never loss. A dead or partitioned owner costs a local
+// compile, a slow owner costs its fetch timeout; none of them cost a
+// wrong answer, a missing batch line, or a 5xx. Concurrent cold requests
+// for one key, wherever they enter, cost one compile.
 //
 // These tests live outside package server (farmtest imports server, so an
 // in-package test would cycle); the exported surface they need —
@@ -86,25 +87,28 @@ func specOwnedBy(t *testing.T, ring *cache.Ring, want string, opts *core.Options
 	return nil
 }
 
-// TestFarmWorkerKilledMidBatch kills one worker while a batch is mid
-// flight through the coordinator. The batch must still deliver exactly
-// one line per spec, every line correct — the re-route is visible only in
-// bbd_coord_reroutes_total.
+// TestFarmWorkerKilledMidBatch posts a batch to one node and kills
+// another node while compiles forwarded to it are in flight. The batch
+// must still deliver exactly one line per spec, each byte-identical to a
+// single node's answer — the kill is visible only in the entry node's
+// bbd_owner_fallbacks_total.
 func TestFarmWorkerKilledMidBatch(t *testing.T) {
+	const victim = 1
 	release := make(chan struct{})
-	started := make(chan int, 1)
+	started := make(chan struct{}, 1)
 	farm, err := farmtest.New(farmtest.Config{
-		Workers:     3,
-		Coordinator: true,
-		Node:        server.Config{Workers: 2, QueueDepth: 16, Parallelism: 1, Timeout: 60 * time.Second},
+		Workers: 3,
+		Node:    server.Config{Workers: 2, QueueDepth: 16, Parallelism: 1, Timeout: 60 * time.Second},
 		Configure: func(i int, sc *server.Config) {
-			// Every compile announces its node, then holds until the kill
-			// has happened — so the victim is guaranteed to die with the
-			// batch's work in flight on it.
+			// Every compile holds until the kill has happened, and the
+			// victim announces its first — so the victim is guaranteed to
+			// die with the batch's work in flight on it.
 			sc.BeforeCompile = func(ctx context.Context) {
-				select {
-				case started <- i:
-				default:
+				if i == victim {
+					select {
+					case started <- struct{}{}:
+					default:
+					}
 				}
 				<-release
 			}
@@ -114,18 +118,39 @@ func TestFarmWorkerKilledMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer farm.Close()
+	single, err := server.New(server.Config{Workers: 2, Parallelism: 1, Timeout: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(single.Handler())
+	defer ts.Close()
+	defer single.Shutdown(context.Background())
 
-	const n = 9
-	specs := make([]string, n)
-	wantStats := make([]core.Stats, n)
-	for i := 0; i < n; i++ {
-		spec := specgen.FromSeed(31000+int64(i), nil)
-		specs[i] = desc.Format(spec)
-		chip, err := core.Compile(spec, &core.Options{SkipPads: true, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("reference compile %d: %v", i, err)
+	// Three specs owned by each node, so the entry node compiles some
+	// itself and forwards the rest to both other nodes.
+	const perNode = 3
+	ring := cache.NewRing(farm.URLs())
+	opts := &core.Options{SkipPads: true}
+	owned := make(map[string]int)
+	var specs []string
+	for seed := int64(31000); len(specs) < perNode*len(farm.Workers()); seed++ {
+		if seed > 31500 {
+			t.Fatal("no seeds in [31000,31500] fill every node — ring balance is broken")
 		}
-		wantStats[i] = chip.Stats
+		spec := specgen.FromSeed(seed, nil)
+		if owner := ring.Owner(cache.Key(spec, opts)); owned[owner] < perNode {
+			owned[owner]++
+			specs = append(specs, desc.Format(spec))
+		}
+	}
+	n := len(specs)
+	want := make([]*server.CompileResponse, n)
+	for i, text := range specs {
+		status, cr := postCompile(t, ts.URL, text, "nopads=1&reps=cif")
+		if status != http.StatusOK {
+			t.Fatalf("single-node compile %d answered %d", i, status)
+		}
+		want[i] = cr
 	}
 
 	body, _ := json.Marshal(server.BatchRequest{Specs: specs})
@@ -133,9 +158,10 @@ func TestFarmWorkerKilledMidBatch(t *testing.T) {
 		items []server.BatchItem
 		err   error
 	}
+	entry := farm.Workers()[0].URL
 	done := make(chan batchDone, 1)
 	go func() {
-		resp, err := http.Post(farm.Coordinator().URL+"/compile/batch?nopads=1",
+		resp, err := http.Post(entry+"/compile/batch?nopads=1&reps=cif",
 			"application/json", bytes.NewReader(body))
 		if err != nil {
 			done <- batchDone{err: err}
@@ -160,18 +186,14 @@ func TestFarmWorkerKilledMidBatch(t *testing.T) {
 		done <- batchDone{items: items, err: sc.Err()}
 	}()
 
-	// Wait for the first compile to start somewhere, kill that node, then
+	// Wait for a forwarded compile to start on the victim, kill it, then
 	// let every compile proceed.
-	var victim int
 	select {
-	case victim = <-started:
+	case <-started:
 	case <-time.After(30 * time.Second):
-		t.Fatal("no compile started within 30s")
+		t.Fatal("no forwarded compile started on the victim within 30s")
 	}
-	killedWorker := victim < len(farm.Workers())
-	if killedWorker {
-		farm.Workers()[victim].Kill()
-	}
+	farm.Workers()[victim].Kill()
 	close(release)
 
 	var got batchDone
@@ -203,16 +225,14 @@ func TestFarmWorkerKilledMidBatch(t *testing.T) {
 			t.Errorf("index %d has neither result nor error", item.Index)
 			continue
 		}
-		if item.Result.Stats != wantStats[item.Index] {
-			t.Errorf("index %d corrupt: stats %+v, want %+v", item.Index, item.Result.Stats, wantStats[item.Index])
+		w := want[item.Index]
+		if item.Result.CIF != w.CIF || item.Result.Stats != w.Stats || item.Result.Key != w.Key {
+			t.Errorf("index %d differs from the single-node answer", item.Index)
 		}
 	}
-	if killedWorker {
-		if reroutes := scrapeCounter(t, farm.Coordinator().URL, "bbd_coord_reroutes_total"); reroutes < 1 {
-			t.Errorf("worker %d was killed mid-batch but bbd_coord_reroutes_total = %v", victim, reroutes)
-		}
+	if v := scrapeCounter(t, entry, "bbd_owner_fallbacks_total"); v < 1 {
+		t.Errorf("node %d was killed with forwards in flight but bbd_owner_fallbacks_total = %v", victim, v)
 	}
-	t.Logf("batch of %d survived killing node %d (worker=%v)", n, victim, killedWorker)
 }
 
 // TestFarmPeerPartitionDegradesToLocal partitions the cache peer that
@@ -251,20 +271,59 @@ func TestFarmPeerPartitionDegradesToLocal(t *testing.T) {
 		t.Error("compile claims a cache hit; the owning peer was partitioned")
 	}
 
-	// The fetch toward the dead owner and the push of the fresh result
-	// both failed; each shows up in its own counter family.
+	// The fetch toward the dead owner failed, so the node compiled
+	// locally without trying to forward.
 	nodeA := farm.Workers()[0].URL
 	if errs := scrapeCounter(t, nodeA, "bbd_peer_errors_total") + scrapeCounter(t, nodeA, "bbd_peer_timeouts_total"); errs < 1 {
 		t.Error("peer fetch failure left no trace in bbd_peer_errors_total/bbd_peer_timeouts_total")
 	}
-	if putErrs := scrapeCounter(t, nodeA, "bbd_peer_put_errors_total"); putErrs < 1 {
-		t.Error("peer push failure left no trace in bbd_peer_put_errors_total")
+	if v := scrapeCounter(t, nodeA, "bbd_owner_fallbacks_total"); v != 1 {
+		t.Errorf("bbd_owner_fallbacks_total = %v, want 1", v)
+	}
+	if v := scrapeCounter(t, nodeA, "bbd_owner_forwards_total"); v != 0 {
+		t.Errorf("bbd_owner_forwards_total = %v, want 0 (the owner is partitioned)", v)
+	}
+}
+
+// TestFarmOwnerShedsDegradesToLocal: an owner that answers the lookup
+// but sheds the forwarded compile (here: draining, so its queue answers
+// 503) costs a local compile, never a 5xx to the client.
+func TestFarmOwnerShedsDegradesToLocal(t *testing.T) {
+	farm, err := farmtest.New(farmtest.Config{
+		Workers: 2,
+		Node:    server.Config{Workers: 1, Parallelism: 1, Timeout: 60 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer farm.Close()
+
+	opts := &core.Options{SkipPads: true}
+	owner := farm.Workers()[1]
+	spec := specOwnedBy(t, cache.NewRing(farm.URLs()), owner.URL, opts, 38000)
+	if err := owner.Server.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	node := farm.Workers()[0].URL
+	status, cr := postCompile(t, node, desc.Format(spec), "nopads=1")
+	if status != http.StatusOK || cr.Cached {
+		t.Fatalf("compile behind a shedding owner answered %d (cached=%v), want a 200 local compile", status, cr.Cached)
+	}
+	if v := scrapeCounter(t, node, "bbd_owner_fallbacks_total"); v != 1 {
+		t.Errorf("bbd_owner_fallbacks_total = %v, want 1", v)
+	}
+	if v := scrapeCounter(t, node, "bbd_owner_forwards_total"); v != 0 {
+		t.Errorf("bbd_owner_forwards_total = %v, want 0 (the owner shed)", v)
+	}
+	if v := scrapeCounter(t, node, "bbd_compiles_total"); v != 1 {
+		t.Errorf("entry node's bbd_compiles_total = %v, want 1", v)
 	}
 }
 
 // TestFarmColdCompileFetchesOnce compiles a key another node owns: the
 // request looks it up once, so the owner is asked once and the miss is
-// counted once, not again when the worker picks the compile up.
+// counted once, and the compile runs on the owner, not on the node the
+// request entered.
 func TestFarmColdCompileFetchesOnce(t *testing.T) {
 	farm, err := farmtest.New(farmtest.Config{
 		Workers: 2,
@@ -287,12 +346,18 @@ func TestFarmColdCompileFetchesOnce(t *testing.T) {
 	if got := scrapeCounter(t, node, "bbd_cache_misses_total"); got != 1 {
 		t.Errorf("bbd_cache_misses_total = %v, want 1", got)
 	}
+	if got := scrapeCounter(t, farm.Workers()[1].URL, "bbd_compiles_total"); got != 1 {
+		t.Errorf("owner's bbd_compiles_total = %v, want 1", got)
+	}
+	if got := scrapeCounter(t, node, "bbd_compiles_total"); got != 0 {
+		t.Errorf("entry node's bbd_compiles_total = %v, want 0", got)
+	}
 }
 
-// TestFarmSlowPeerTimeout points a lookup at a peer that answers after
+// TestFarmSlowPeerTimeout points a lookup at an owner that answers after
 // seconds while the tier's budget is tens of milliseconds: the compile
-// must complete fast (local), and the slow fetch must land in
-// bbd_peer_timeouts_total.
+// must complete fast (local, never forwarded to the stalled owner), and
+// the slow fetch must land in bbd_peer_timeouts_total.
 func TestFarmSlowPeerTimeout(t *testing.T) {
 	const peerTimeout = 50 * time.Millisecond
 	farm, err := farmtest.New(farmtest.Config{
@@ -321,34 +386,39 @@ func TestFarmSlowPeerTimeout(t *testing.T) {
 	if cr.Cached {
 		t.Error("compile claims a cache hit; the owning peer never answered in time")
 	}
-	// The request paid at most two peer budgets (fetch + push) plus the
-	// compile itself — nothing close to the peer's 2s stall.
+	// The request paid one fetch budget plus the compile itself —
+	// nothing close to the peer's 2s stall.
 	if elapsed >= 1500*time.Millisecond {
 		t.Errorf("request took %v; the peer timeout (%v) was not honored", elapsed, peerTimeout)
 	}
-	if timeouts := scrapeCounter(t, farm.Workers()[0].URL, "bbd_peer_timeouts_total"); timeouts < 1 {
+	nodeA := farm.Workers()[0].URL
+	if timeouts := scrapeCounter(t, nodeA, "bbd_peer_timeouts_total"); timeouts < 1 {
 		t.Error("slow peer left no trace in bbd_peer_timeouts_total")
+	}
+	if v := scrapeCounter(t, nodeA, "bbd_owner_fallbacks_total"); v != 1 {
+		t.Errorf("bbd_owner_fallbacks_total = %v, want 1", v)
+	}
+	if v := scrapeCounter(t, nodeA, "bbd_owner_forwards_total"); v != 0 {
+		t.Errorf("bbd_owner_forwards_total = %v, want 0 (the owner timed out)", v)
 	}
 	t.Logf("slow-peer compile served in %v with a %v peer budget", elapsed, peerTimeout)
 }
 
 // TestFarmClientDisconnectNotWorkerFault: a client that hangs up while
-// its compile is forwarded must not dent the farm's health accounting.
-// The abandoned forward is not a re-route, the canceled request is not a
-// local fallback, and above all the worker is not benched — the very next
-// cold compile routes straight back to it. (Found live: a probe that died
-// mid-batch marked a healthy worker dead for the grace period and pushed
-// two phantom fallbacks into the counters operators alert on.)
+// its compile is forwarded to the key's owner must not dent the farm's
+// health accounting: the abandoned forward is not a local fallback (a
+// phantom fallback would page whoever alerts on the counter), and the
+// next cold compile of a key the owner owns is forwarded straight to it.
 func TestFarmClientDisconnectNotWorkerFault(t *testing.T) {
+	const ownerIdx = 1
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	farm, err := farmtest.New(farmtest.Config{
-		Workers:     1,
-		Coordinator: true,
-		Node:        server.Config{Workers: 2, QueueDepth: 16, Parallelism: 1, Timeout: 60 * time.Second},
+		Workers: 2,
+		Node:    server.Config{Workers: 2, QueueDepth: 16, Parallelism: 1, Timeout: 60 * time.Second},
 		Configure: func(i int, sc *server.Config) {
-			if i != 0 {
-				return // only the worker holds compiles open
+			if i != ownerIdx {
+				return // only the owner holds compiles open
 			}
 			sc.BeforeCompile = func(ctx context.Context) {
 				select {
@@ -366,12 +436,16 @@ func TestFarmClientDisconnectNotWorkerFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer farm.Close()
-	coord := farm.Coordinator().URL
+	entry := farm.Workers()[0].URL
+	ring := cache.NewRing(farm.URLs())
+	opts := &core.Options{SkipPads: true}
+	owner := farm.Workers()[ownerIdx].URL
+	first := specOwnedBy(t, ring, owner, opts, 35000)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, coord+"/compile?nopads=1",
-		strings.NewReader(desc.Format(specgen.FromSeed(35000, nil))))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, entry+"/compile?nopads=1",
+		strings.NewReader(desc.Format(first)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,48 +461,184 @@ func TestFarmClientDisconnectNotWorkerFault(t *testing.T) {
 	select {
 	case <-started:
 	case <-time.After(30 * time.Second):
-		t.Fatal("forwarded compile never started on the worker")
+		t.Fatal("forwarded compile never started on the owner")
 	}
-	cancel() // the client hangs up with its compile in flight on the worker
+	cancel() // the client hangs up with its compile in flight on the owner
 	if err := <-errc; err == nil {
 		t.Fatal("canceled request still answered; the disconnect never happened")
 	}
 
-	// The coordinator's latency histogram records every terminal outcome,
+	// The entry node's latency histogram records every terminal outcome,
 	// so its count turning 1 means the abandoned request fully unwound.
 	deadline := time.Now().Add(10 * time.Second)
-	for scrapeCounter(t, coord, "bbd_request_latency_ms_count") < 1 {
+	for scrapeCounter(t, entry, "bbd_request_latency_ms_count") < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("coordinator handler never finished after the disconnect")
+			t.Fatal("entry handler never finished after the disconnect")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-
-	if v := scrapeCounter(t, coord, "bbd_coord_reroutes_total"); v != 0 {
-		t.Errorf("client disconnect counted as %v re-routes; want 0", v)
-	}
-	if v := scrapeCounter(t, coord, "bbd_coord_local_fallbacks_total"); v != 0 {
+	if v := scrapeCounter(t, entry, "bbd_owner_fallbacks_total"); v != 0 {
 		t.Errorf("client disconnect counted as %v local fallbacks; want 0", v)
 	}
-	if v := scrapeCounter(t, coord, "bbd_coord_dead_workers"); v != 0 {
-		t.Errorf("client disconnect benched %v workers; want 0", v)
+	if v := scrapeCounter(t, entry, "bbd_owner_forwards_total"); v != 0 {
+		t.Errorf("abandoned forward counted as %v answered forwards; want 0", v)
 	}
 
-	// The worker must still be first in line: a follow-up cold compile is
-	// routed to it, not answered by a local fallback.
+	// The owner is still first in line: a follow-up cold compile of a key
+	// it owns is forwarded to it, not answered by a local fallback.
 	close(release) // the canceled compile already left via ctx.Done
-	status, cr := postCompile(t, coord, desc.Format(specgen.FromSeed(35001, nil)), "nopads=1")
+	next := specOwnedBy(t, ring, owner, opts, 36000)
+	status, cr := postCompile(t, entry, desc.Format(next), "nopads=1")
 	if status != http.StatusOK {
 		t.Fatalf("follow-up compile answered %d", status)
 	}
 	if cr.Cached {
-		t.Error("follow-up compile claims a warm hit; want a cold routed compile")
+		t.Error("follow-up compile claims a warm hit; want a cold forwarded compile")
 	}
-	if v := scrapeCounter(t, coord, "bbd_coord_routed_total"); v < 1 {
-		t.Errorf("follow-up compile was not routed (bbd_coord_routed_total = %v); the worker is still benched", v)
+	if v := scrapeCounter(t, entry, "bbd_owner_forwards_total"); v != 1 {
+		t.Errorf("follow-up compile was not forwarded (bbd_owner_forwards_total = %v)", v)
 	}
-	if v := scrapeCounter(t, coord, "bbd_coord_local_fallbacks_total"); v != 0 {
-		t.Errorf("follow-up compile fell back locally; the disconnect benched the worker")
+	if v := scrapeCounter(t, entry, "bbd_owner_fallbacks_total"); v != 0 {
+		t.Errorf("follow-up compile fell back locally; the disconnect spoiled the owner")
+	}
+}
+
+// TestFarmSingleFlight sends 100 concurrent identical cold /compile
+// requests, spread over a 3-node farm: the farm must compile the key
+// exactly once (on its owner, which the other nodes forward to) and give
+// every request the same answer. Every compile is held until every
+// request has reached the owner, so all of them overlap the first. In
+// the hang-up case the first request hangs up while its compile is held:
+// the others must not inherit its cancel, and still get 200.
+func TestFarmSingleFlight(t *testing.T) {
+	for _, hangUp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hangup=%v", hangUp), func(t *testing.T) {
+			const n = 100
+			release := make(chan struct{})
+			started, unheld := make(chan struct{}), make(chan struct{})
+			var held sync.Once
+			farm, err := farmtest.New(farmtest.Config{
+				Workers:     3,
+				PeerTimeout: 30 * time.Second,
+				Node:        server.Config{Workers: 2, Parallelism: 1, Timeout: 60 * time.Second},
+				Configure: func(i int, sc *server.Config) {
+					sc.BeforeCompile = func(ctx context.Context) {
+						first := false
+						held.Do(func() { first = true })
+						if first {
+							close(started)
+							defer close(unheld)
+						}
+						select {
+						case <-release:
+						case <-ctx.Done():
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer farm.Close()
+			nodes := farm.Workers()
+			spec := specgen.FromSeed(37000, nil)
+			text := desc.Format(spec)
+			ownerURL := cache.NewRing(farm.URLs()).Owner(cache.Key(spec, &core.Options{SkipPads: true}))
+
+			type reply struct {
+				status int
+				cr     server.CompileResponse
+				err    error
+			}
+			post := func(ctx context.Context, node string) reply {
+				req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/compile?nopads=1&reps=cif", strings.NewReader(text))
+				if err != nil {
+					return reply{err: err}
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					return reply{err: err}
+				}
+				defer resp.Body.Close()
+				r := reply{status: resp.StatusCode}
+				if r.status == http.StatusOK {
+					r.err = json.NewDecoder(resp.Body).Decode(&r.cr)
+				}
+				return r
+			}
+
+			// The first request leads; its client may hang up later.
+			ctx0, cancel0 := context.WithCancel(context.Background())
+			defer cancel0()
+			replies := make([]reply, n)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replies[0] = post(ctx0, nodes[0].URL)
+			}()
+			select {
+			case <-started:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the first compile never started")
+			}
+			for i := 1; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					replies[i] = post(context.Background(), nodes[i%len(nodes)].URL)
+				}(i)
+			}
+			// Every request, forwarded or not, reaches the owner's handler;
+			// wait for all of them (bounded) before ending the held compile.
+			deadline := time.Now().Add(20 * time.Second)
+			for scrapeCounter(t, ownerURL, "bbd_requests_total") < n && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if hangUp {
+				// Release the rest only once the first compile has seen
+				// its own cancel.
+				cancel0()
+				select {
+				case <-unheld:
+				case <-time.After(30 * time.Second):
+					t.Fatal("the hung-up compile never saw its cancel")
+				}
+			}
+			close(release)
+			wg.Wait()
+
+			compiles := 0.0
+			for _, node := range nodes {
+				compiles += scrapeCounter(t, node.URL, "bbd_compiles_total")
+			}
+			if compiles != 1 {
+				t.Errorf("farm ran %v compiles for %d identical requests, want 1", compiles, n)
+			}
+			var want *server.CompileResponse
+			for i, r := range replies {
+				if i == 0 && hangUp {
+					if r.err == nil {
+						t.Error("the hung-up request still got an answer")
+					}
+					continue
+				}
+				if r.err != nil || r.status != http.StatusOK {
+					t.Errorf("request %d: status %d, err %v; want 200", i, r.status, r.err)
+					continue
+				}
+				if want == nil {
+					want = &replies[i].cr
+					continue
+				}
+				if r.cr.CIF != want.CIF || r.cr.Key != want.Key || r.cr.Stats != want.Stats || r.cr.Chip != want.Chip {
+					t.Errorf("request %d got a different answer", i)
+				}
+			}
+			if want == nil || want.CIF == "" {
+				t.Fatal("no request got a CIF back")
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package farmtest boots a whole bbd farm — N workers sharing a
-// consistent-hash cache ring, optionally fronted by a coordinator — inside
-// one test process. Nodes are httptest servers, so the farm binds no real
-// ports and dies with the process; the differential harness and the
-// fault-injection battery both build on it.
+// Package farmtest boots a whole bbd farm — N nodes sharing one
+// consistent-hash ring, each a front door that compiles the keys it owns
+// — inside one test process. Nodes are httptest servers, so the farm
+// binds no real ports and dies with the process; the differential
+// harness and the fault-injection battery both build on it.
 //
 // Every node sits behind a gate that the battery flips to simulate the
 // farm's failure modes: Kill severs the node mid-flight (open connections
@@ -30,21 +30,18 @@ import (
 
 // Config shapes the farm.
 type Config struct {
-	// Workers is the worker-node count (<=0 = 3).
+	// Workers is the node count (<=0 = 3).
 	Workers int
-	// Coordinator adds one more node in coordinator mode; requests sent to
-	// Farm.Coordinator() route cold compiles across the workers.
-	Coordinator bool
-	// Node is the per-node server template. Cache, Peers, SelfURL, and
-	// Coordinator are overwritten per node (each node gets a fresh cache
+	// Node is the per-node server template. Cache, Peers, SelfURL and
+	// PeerTimeout are overwritten per node (each node gets a fresh cache
 	// and the farm's ring); everything else is copied as-is.
 	Node server.Config
-	// PeerTimeout bounds peer fetch/put and coordinator load polls
-	// (<=0 = cache.DefaultPeerTimeout).
+	// PeerTimeout bounds each peer cache fetch (<=0 =
+	// cache.DefaultPeerTimeout).
 	PeerTimeout time.Duration
-	// Configure, when non-nil, runs on each node's config (workers first,
-	// then the coordinator as index len(workers)) just before server.New —
-	// the hook tests use to plant per-node BeforeCompile functions.
+	// Configure, when non-nil, runs on node i's config just before
+	// server.New — the hook tests use to plant per-node BeforeCompile
+	// functions.
 	Configure func(i int, cfg *server.Config)
 }
 
@@ -57,8 +54,8 @@ type Node struct {
 	gate   *gate
 }
 
-// Kill severs the node: every open connection is reset (a coordinator
-// forward in flight fails immediately) and every new request is aborted.
+// Kill severs the node: every open connection is reset (a compile
+// forwarded to it fails immediately) and every new request is aborted.
 // The server itself keeps running — like a machine yanked off the
 // network, not a clean shutdown.
 func (n *Node) Kill() {
@@ -83,30 +80,15 @@ func (n *Node) Restore() {
 // Farm is the running fixture.
 type Farm struct {
 	workers []*Node
-	coord   *Node // nil without Config.Coordinator
 }
 
-// Workers returns the worker nodes.
+// Workers returns the nodes, in ring-list order.
 func (f *Farm) Workers() []*Node { return f.workers }
 
-// Coordinator returns the coordinator node (nil when the farm runs
-// without one).
-func (f *Farm) Coordinator() *Node { return f.coord }
-
-// Nodes returns every node, workers first.
-func (f *Farm) Nodes() []*Node {
-	out := append([]*Node{}, f.workers...)
-	if f.coord != nil {
-		out = append(out, f.coord)
-	}
-	return out
-}
-
-// URLs returns every node's base URL, workers first — the farm's ring.
+// URLs returns every node's base URL — the farm's ring.
 func (f *Farm) URLs() []string {
-	nodes := f.Nodes()
-	out := make([]string, len(nodes))
-	for i, n := range nodes {
+	out := make([]string, len(f.workers))
+	for i, n := range f.workers {
 		out[i] = n.URL
 	}
 	return out
@@ -115,17 +97,17 @@ func (f *Farm) URLs() []string {
 // Close restores every gate, drains every server (bounded), and closes
 // the HTTP fronts.
 func (f *Farm) Close() {
-	for _, n := range f.Nodes() {
+	for _, n := range f.workers {
 		n.Restore()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for _, n := range f.Nodes() {
+	for _, n := range f.workers {
 		if n.Server != nil {
 			n.Server.Shutdown(ctx)
 		}
 	}
-	for _, n := range f.Nodes() {
+	for _, n := range f.workers {
 		n.HTTP.Close()
 	}
 }
@@ -138,22 +120,15 @@ func New(cfg Config) (*Farm, error) {
 	if workers <= 0 {
 		workers = 3
 	}
-	total := workers
-	if cfg.Coordinator {
-		total++
-	}
-	nodes := make([]*Node, total)
-	urls := make([]string, total)
+	nodes := make([]*Node, workers)
+	urls := make([]string, workers)
 	for i := range nodes {
 		g := newGate()
 		ts := httptest.NewServer(g)
 		nodes[i] = &Node{HTTP: ts, URL: ts.URL, gate: g}
 		urls[i] = ts.URL
 	}
-	f := &Farm{workers: nodes[:workers]}
-	if cfg.Coordinator {
-		f.coord = nodes[workers]
-	}
+	f := &Farm{workers: nodes}
 	for i, node := range nodes {
 		sc := cfg.Node
 		fresh, err := cache.New(0, "")
@@ -165,7 +140,6 @@ func New(cfg Config) (*Farm, error) {
 		sc.Peers = urls
 		sc.SelfURL = urls[i]
 		sc.PeerTimeout = cfg.PeerTimeout
-		sc.Coordinator = cfg.Coordinator && i == workers
 		if cfg.Configure != nil {
 			cfg.Configure(i, &sc)
 		}

@@ -45,6 +45,11 @@ type call struct {
 	ctx  context.Context
 	tr   *trace.Trace
 	link trace.SpanContext
+
+	// Set by lookup in a farm: the key's owning peer when another node
+	// owns it, and why asking that peer failed, if it did.
+	owner    string
+	ownerErr error
 }
 
 // serve admits a request to a compile endpoint: it counts it, refuses any
@@ -132,11 +137,61 @@ func (c *call) begin() context.CancelFunc {
 // key's owning peer, bounded by the call's context — which GetCtx records
 // as the call's cache.lookup span whatever the outcome.
 func (c *call) lookup() (*cache.Result, bool) {
-	res, ok := c.s.cache.GetCtx(c.ctx, c.key)
-	if ok {
-		c.s.metrics.cacheServed.Add(1)
+	res, owner, err := c.s.cache.GetCtx(c.ctx, c.key)
+	c.owner, c.ownerErr = owner, err
+	if res == nil {
+		return nil, false
 	}
-	return res, ok
+	c.s.metrics.cacheServed.Add(1)
+	return res, true
+}
+
+// sharedCompile is one cold compile that concurrent calls for its key
+// share: the call that started it leads, the rest wait on done.
+type sharedCompile struct {
+	done chan struct{}
+	out  jobResult
+	// shared reports that out is the key's own outcome — a result or a
+	// compile error — not the leader's cancel, timeout or shed.
+	shared bool
+}
+
+// once runs the call's cold compile through lead — or, when a compile of
+// the same key is already running on this node, waits for that one and
+// returns its outcome. A call never inherits another call's cancel,
+// timeout or shed: when the compile it waited on ended that way, it leads
+// or joins the next one. ok is lead's, false when lead already answered
+// the request.
+func (c *call) once(lead func() (jobResult, bool)) (jobResult, bool) {
+	s := c.s
+	for {
+		s.compilingMu.Lock()
+		sc, running := s.compiling[c.key]
+		if !running {
+			sc = &sharedCompile{done: make(chan struct{})}
+			s.compiling[c.key] = sc
+		}
+		s.compilingMu.Unlock()
+		if !running {
+			out, ok := lead()
+			sc.out, sc.shared = out, ok && (out.err == nil || c.ctx.Err() == nil)
+			s.compilingMu.Lock()
+			delete(s.compiling, c.key)
+			s.compilingMu.Unlock()
+			close(sc.done)
+			return out, ok
+		}
+		select {
+		case <-sc.done:
+		case <-c.ctx.Done():
+			return jobResult{err: c.ctx.Err()}, true
+		}
+		if sc.shared {
+			s.metrics.compilesJoined.Add(1)
+			// The leader's worker already counted and verified the chip.
+			return jobResult{res: sc.out.res, cached: sc.out.cached, err: sc.out.err}, true
+		}
+	}
 }
 
 // queue hands the call to the worker pool and waits for its result. verify

@@ -25,11 +25,12 @@ import (
 type metrics struct {
 	requests, inFlight, compiles, cacheServed, sessionCompiles expvar.Int
 	rejected, timeouts, badSpecs, compileErrors                expvar.Int
-	// Batch endpoint, coordinator routing, and the serving side of the
-	// shard protocol (/cache/).
-	batchRequests, batchSpecs, batchErrors, batchRemote         expvar.Int
-	coordRouted, coordReroutes, coordFallbacks, coordPollErrors expvar.Int
-	shardServed, shardStored, shardBadPuts                      expvar.Int
+	// Batch endpoint, shared compiles, and the farm protocol: shard
+	// lookups served, compiles forwarded to their owner, and forwards
+	// that fell back to a local compile.
+	batchRequests, batchSpecs, batchErrors     expvar.Int
+	compilesJoined                             expvar.Int
+	shardServed, ownerForwards, ownerFallbacks expvar.Int
 	// Compiler-core build counters accumulated over cold compiles, plus
 	// the most recent cold compile's gauges.
 	coreCells, coreStretches, coreStretchDist, coreBusBreaks expvar.Int
@@ -87,7 +88,7 @@ func newMetrics() *metrics {
 }
 
 // table reads one snapshot of the metric set and of the server state it
-// exports (cache, peer tier, edit sessions, coordinator, runtime, SLO) as
+// exports (cache, peer tier, edit sessions, runtime, SLO) as
 // the ordered rows both scrape surfaces render. Only scrapes call it.
 func (m *metrics) table(s *Server) []sample {
 	cc, rt, so := s.cache.Counters(), m.rt.Snapshot(), s.slo.Snapshot()
@@ -99,10 +100,6 @@ func (m *metrics) table(s *Server) []sample {
 	incrRatio := 0.0
 	if n := ic.Hits + ic.Misses; n > 0 {
 		incrRatio = float64(ic.Hits) / float64(n)
-	}
-	coordWorkers, coordDead := 0, 0
-	if s.coord != nil {
-		coordWorkers, coordDead = len(s.coord.workers), s.coord.deadWorkers()
 	}
 	c := func(name, key, help string, v float64) sample {
 		return sample{name: name, kind: "counter", help: help, key: key, val: v}
@@ -116,6 +113,7 @@ func (m *metrics) table(s *Server) []sample {
 	return []sample{
 		c("bbd_requests_total", "requests", "Compile requests received (all terminal outcomes).", float64(m.requests.Value())),
 		c("bbd_compiles_total", "compiles", "Cold compiles that ran the three passes.", float64(m.compiles.Value())),
+		c("bbd_compiles_joined_total", "compiles_joined", "Requests answered by another request's concurrent compile of the same key.", float64(m.compilesJoined.Value())),
 		c("bbd_cache_served_total", "cache_served", "Requests answered from the compile cache.", float64(m.cacheServed.Value())),
 		c("bbd_rejected_total", "rejected_queue_full", "Requests shed with 503 because the queue was full or draining.", float64(m.rejected.Value())),
 		c("bbd_timeouts_total", "timeouts", "Requests that exceeded the compile deadline.", float64(m.timeouts.Value())),
@@ -144,23 +142,13 @@ func (m *metrics) table(s *Server) []sample {
 		c("bbd_peer_misses_total", "peer.misses", "Peer fetches answered with a clean 404.", float64(pc.Misses)),
 		c("bbd_peer_errors_total", "peer.errors", "Peer fetches that failed (unreachable, bad status, corrupt body).", float64(pc.Errors)),
 		c("bbd_peer_timeouts_total", "peer.timeouts", "Peer fetches that exceeded the per-peer timeout.", float64(pc.Timeouts)),
-		c("bbd_peer_puts_total", "peer.puts", "Results pushed to their owning peer.", float64(pc.Puts)),
-		c("bbd_peer_put_errors_total", "peer.put_errors", "Peer pushes that failed (result stayed local-only).", float64(pc.PutErrors)),
 		c("bbd_peer_shard_served_total", "shard_served", "Peer lookups this node answered from its local layers.", float64(m.shardServed.Value())),
-		c("bbd_peer_shard_stored_total", "shard_stored", "Peer results this node stored into its local layers.", float64(m.shardStored.Value())),
-		c("bbd_peer_shard_bad_puts_total", "shard_bad_puts", "Peer PUTs rejected as malformed or mis-keyed.", float64(m.shardBadPuts.Value())),
+		c("bbd_owner_forwards_total", "owner_forwards", "Cold compiles forwarded to their key's owning node and answered there.", float64(m.ownerForwards.Value())),
+		c("bbd_owner_fallbacks_total", "owner_fallbacks", "Cold compiles of a key another node owns, run locally because the owner's lookup or forward failed.", float64(m.ownerFallbacks.Value())),
 
 		c("bbd_batch_requests_total", "batch_requests", "POST /compile/batch requests received.", float64(m.batchRequests.Value())),
 		c("bbd_batch_specs_total", "batch_specs", "Specs received across batch requests.", float64(m.batchSpecs.Value())),
 		c("bbd_batch_errors_total", "batch_errors", "Batch items that streamed an error line.", float64(m.batchErrors.Value())),
-		c("bbd_batch_remote_total", "batch_remote", "Batch items the coordinator routed to a worker.", float64(m.batchRemote.Value())),
-
-		c("bbd_coord_routed_total", "coord_routed", "Cold compiles forwarded to a worker.", float64(m.coordRouted.Value())),
-		c("bbd_coord_reroutes_total", "coord_reroutes", "Re-route hops after a worker failed or shed.", float64(m.coordReroutes.Value())),
-		c("bbd_coord_local_fallbacks_total", "coord_local_fallbacks", "Cold compiles answered locally because no worker was reachable.", float64(m.coordFallbacks.Value())),
-		c("bbd_coord_poll_errors_total", "coord_poll_errors", "Worker load polls that failed (worker marked dead briefly).", float64(m.coordPollErrors.Value())),
-		g("bbd_coord_workers", "", "Workers this coordinator routes across.", float64(coordWorkers)),
-		g("bbd_coord_dead_workers", "", "Workers currently sitting out after a failure.", float64(coordDead)),
 
 		// Incremental artifact stores: every session's store plus retired
 		// sessions' totals, so the counters are monotonic across churn.

@@ -5,7 +5,9 @@
 // out. Load shedding is explicit — a full queue answers 503 instead of
 // accepting unbounded work — and every request carries a deadline that
 // core.CompileCtx honors mid-pass, so abandoned requests hand their worker
-// back promptly.
+// back promptly. Concurrent cold requests for one key share one compile.
+// In a farm every node is a front door, and a cold compile runs on the
+// node that owns its key (see peerproto.go).
 package server
 
 import (
@@ -100,22 +102,18 @@ type Config struct {
 	ProfileKeep int
 
 	// Peers is the farm's full node list — every member's base URL, this
-	// node's own included — for the consistent-hash cache shard ring (the
-	// bbd -peers flag). Every node must receive the same set (order is
-	// irrelevant; the ring sorts). Empty means single-node: no peer tier,
-	// no /cache/ shard traffic.
+	// node's own included — for the consistent-hash ring that gives each
+	// cache key one owning node (the bbd -peers flag). Every node must
+	// receive the same set (order is irrelevant; the ring sorts). Empty
+	// means single-node: no peer tier, no /cache/ shard traffic, no
+	// forwarded compiles.
 	Peers []string
 	// SelfURL is this node's own base URL exactly as it appears in Peers.
 	// Required when Peers is set — the ring must know which shard is local.
 	SelfURL string
-	// Coordinator makes this node route cold compiles to the least-loaded
-	// peer (load read from each worker's /metrics inflight and queue
-	// gauges) instead of compiling them locally; warm hits are still
-	// answered here from the shared cache tier. Requires Peers with at
-	// least one node besides SelfURL.
-	Coordinator bool
-	// PeerTimeout bounds each peer cache fetch/put and each coordinator
-	// load poll (<=0 = cache.DefaultPeerTimeout).
+	// PeerTimeout bounds each cache fetch from a key's owning peer (<=0 =
+	// cache.DefaultPeerTimeout). A compile forwarded to the owner is
+	// bounded by Timeout instead.
 	PeerTimeout time.Duration
 
 	// BeforeCompile runs in the worker between claiming a job and compiling
@@ -141,9 +139,10 @@ type Server struct {
 	metrics *metrics
 	slo     *slo.Tracker
 
-	// coord routes cold compiles across the farm (nil unless
-	// Config.Coordinator).
-	coord *coordinator
+	// compiling holds the cold compile in progress for each key, which
+	// concurrent requests for the key join (see call.once).
+	compilingMu sync.Mutex
+	compiling   map[string]*sharedCompile
 
 	// profiles is the continuous-profiling ring (nil unless
 	// Config.ProfileInterval > 0); stopProfiles stops its ticker.
@@ -196,29 +195,21 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		cfg.Cache.SetPeers(pt)
-	} else if cfg.Coordinator {
-		return nil, fmt.Errorf("coordinator mode requires a peer list (-peers)")
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cfg.Cache,
-		jobs:     make(chan *job, cfg.QueueDepth),
-		logger:   cfg.Logger,
-		flight:   flightrec.New(cfg.FlightRecorderSize),
-		sessions: newSessionTable(cfg.MaxSessions, cfg.SessionTTL, cfg.SessionCacheMB),
-		slo:      slo.New(cfg.SLO),
+		cfg:       cfg,
+		cache:     cfg.Cache,
+		jobs:      make(chan *job, cfg.QueueDepth),
+		logger:    cfg.Logger,
+		flight:    flightrec.New(cfg.FlightRecorderSize),
+		sessions:  newSessionTable(cfg.MaxSessions, cfg.SessionTTL, cfg.SessionCacheMB),
+		slo:       slo.New(cfg.SLO),
+		compiling: make(map[string]*sharedCompile),
 	}
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
 	}
 	s.metrics = newMetrics()
-	if cfg.Coordinator {
-		coord, err := newCoordinator(s)
-		if err != nil {
-			return nil, err
-		}
-		s.coord = coord
-	}
 	if cfg.ProfileInterval > 0 {
 		dir := cfg.ProfileDir
 		if dir == "" {
@@ -271,9 +262,9 @@ func (s *Server) worker() {
 			// this or any other pool size served the request.
 			out.chip, out.err = core.CompileCtx(c.ctx, c.spec, c.opts)
 		} else if res, ok := s.cache.GetLocal(c.key); ok {
-			// Another worker filled the key during the queue wait. The
-			// handler's lookup was the counted one and asked the peer, so
-			// this re-check reads the local layers only.
+			// Another compile filled the key after the handler's lookup.
+			// That lookup was the counted one and asked the peer, so this
+			// re-check reads the local layers only.
 			out = jobResult{res: res, cached: true}
 		} else if out = c.build(c.ctx, c.opts, nil); out.err == nil {
 			s.cache.Put(c.key, out.res)
@@ -460,20 +451,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 				c.log.Debug("served from cache", "key", c.key, "dur", time.Since(c.start))
 			}
 		} else {
-			// A coordinator sends the cold compile to the least-loaded
-			// worker and relays its buffered reply verbatim (it is a
-			// CompileResponse, bad-spec and compile errors included); it
-			// compiles locally only when every worker is unreachable or
-			// shedding.
-			if s.coord != nil {
-				if status, data, ok := s.coord.compileRemote(c.ctx, r.URL.RawQuery, body, c.link, c.log); ok {
-					w.Header().Set("Content-Type", "application/json")
-					w.WriteHeader(status)
-					w.Write(data)
-					return
-				}
+			// A key another node owns is compiled there, and its reply is
+			// relayed verbatim.
+			if status, data, ok := c.forward(body); ok {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(status)
+				w.Write(data)
+				return
 			}
-			out, ok := c.queue(w, false)
+			out, ok := c.once(func() (jobResult, bool) { return c.queue(w, false) })
 			if !ok || !c.finish(w, out, "") {
 				return
 			}

@@ -19,6 +19,16 @@ func specText(idx int) string {
 	return desc.Format(experiments.SpecFor(experiments.Suite[idx]))
 }
 
+// variantSpec is suite spec idx renamed with suffix i, so every variant
+// has a cache key of its own and a compile nobody else can join. (A
+// comment would not do: the key hashes the canonical text, which drops
+// comments.)
+func variantSpec(idx, i int) string {
+	spec := experiments.SpecFor(experiments.Suite[idx])
+	spec.Name += fmt.Sprintf("v%d", i)
+	return desc.Format(spec)
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
@@ -244,7 +254,7 @@ func TestQueueFullSheds(t *testing.T) {
 	codes := make(chan int, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			spec := specText(2) + fmt.Sprintf("\n# variant %d\n", i)
+			spec := variantSpec(2, i)
 			resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
 			if err != nil {
 				codes <- 0

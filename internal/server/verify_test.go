@@ -223,7 +223,7 @@ func TestVerifyErrorPathQueueFull(t *testing.T) {
 	inFlight := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			spec := specText(5) + fmt.Sprintf("\n# occupant %d\n", i)
+			spec := variantSpec(5, i)
 			resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(spec))
 			if err != nil {
 				inFlight <- 0

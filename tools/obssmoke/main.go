@@ -17,8 +17,8 @@
 //
 // The farm leg boots two more daemons peered over -peers, streams a
 // batch through one, warm-hits the other across the cache tier, and
-// asserts the bbd_peer_* and bbd_batch_* families moved — the counters
-// a standalone daemon never touches.
+// asserts the bbd_peer_*, bbd_owner_* and bbd_batch_* families moved —
+// the counters a standalone daemon never touches.
 //
 // Usage:
 //
@@ -392,10 +392,10 @@ func main() {
 
 	// The farm leg: two more daemons peered over the consistent-hash ring.
 	// A batch streamed through node A and a warm cross-node hit from node B
-	// must move the bbd_batch_* and bbd_peer_* families — counters a
-	// standalone daemon never touches. Whichever node the ring makes the
-	// key's owner, exactly one peer interaction happens: either A PUTs the
-	// result to B at compile time, or B fetches it from A at request time.
+	// must move the bbd_batch_*, bbd_peer_* and bbd_owner_* families —
+	// counters a standalone daemon never touches. Whichever node the ring
+	// makes the key's owner, a peer interaction happens: either A forwards
+	// the cold compile to B, or B fetches A's result at request time.
 	baseA, baseB := "http://"+*farmAddrA, "http://"+*farmAddrB
 	peersFlag := baseA + "," + baseB
 	for _, node := range []struct{ addr, self string }{
@@ -485,8 +485,8 @@ func main() {
 
 	// Both nodes' /metrics must carry the farm families with the expected
 	// movement: ring size 2 everywhere, the batch counters on A, at least
-	// one peer interaction somewhere, and zero degradations on a healthy
-	// farm.
+	// one peer interaction somewhere, and zero degradations (peer errors,
+	// timeouts or local fallbacks) on a healthy farm.
 	pageA, err := scrapeProm(baseA + "/metrics")
 	if err != nil {
 		fatal(err)
@@ -506,8 +506,9 @@ func main() {
 		if v := farmGet(page, "bbd_peer_nodes"); v != 2 {
 			fatal(fmt.Errorf("bbd_peer_nodes = %v, want 2", v))
 		}
-		if v := farmGet(page, "bbd_peer_errors_total") + farmGet(page, "bbd_peer_timeouts_total"); v != 0 {
-			fatal(fmt.Errorf("healthy farm degraded: %v peer errors+timeouts", v))
+		if v := farmGet(page, "bbd_peer_errors_total") + farmGet(page, "bbd_peer_timeouts_total") +
+			farmGet(page, "bbd_owner_fallbacks_total"); v != 0 {
+			fatal(fmt.Errorf("healthy farm degraded: %v peer errors+timeouts+fallbacks", v))
 		}
 	}
 	if v := farmGet(pageA, "bbd_batch_requests_total"); v < 1 {
@@ -519,10 +520,10 @@ func main() {
 	if v := farmGet(pageA, "bbd_batch_errors_total"); v != 0 {
 		fatal(fmt.Errorf("bbd_batch_errors_total = %v", v))
 	}
-	traffic := farmGet(pageA, "bbd_peer_fetches_total") + farmGet(pageB, "bbd_peer_fetches_total") +
-		farmGet(pageA, "bbd_peer_puts_total") + farmGet(pageB, "bbd_peer_puts_total")
+	forwards := farmGet(pageA, "bbd_owner_forwards_total") + farmGet(pageB, "bbd_owner_forwards_total")
+	traffic := farmGet(pageA, "bbd_peer_fetches_total") + farmGet(pageB, "bbd_peer_fetches_total") + forwards
 	if traffic < 1 {
-		fatal(fmt.Errorf("no peer traffic crossed the farm (fetches+puts = %v)", traffic))
+		fatal(fmt.Errorf("no peer traffic crossed the farm (fetches+forwards = %v)", traffic))
 	}
 	step("farm families populated: ring=2 on both nodes, batch counters on A, %v peer interactions", traffic)
 
